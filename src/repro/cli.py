@@ -865,7 +865,9 @@ def _run_index_query_json(args, index) -> str:
 
 
 def _run_serve(args) -> str:
-    from repro.serve.app import SphereService, make_server, run_until_signal
+    from repro.serve.app import SphereService, make_server
+    from repro.serve.errors import ServeError
+    from repro.serve.http import run_until_signal
 
     service = SphereService(
         args.store,
@@ -912,8 +914,23 @@ def _run_serve(args) -> str:
         f"on http://{host}:{port}",
         flush=True,
     )
+
+    def reload_store() -> None:
+        # SIGHUP: a verified hot reload of the store the server started
+        # from; a failed reload leaves the current generation serving.
+        try:
+            result = service.reload()
+        except ServeError as exc:
+            print(f"[serve] reload failed: {exc.message}", file=sys.stderr)
+        else:
+            print(
+                f"[serve] reloaded store generation {result['generation']} "
+                f"from {result['source']}",
+                file=sys.stderr,
+            )
+
     try:
-        run_until_signal(server)
+        run_until_signal(server, reload_store)
     finally:
         # Stop accepting/driving job attempts only after the HTTP server
         # has drained, so in-flight submissions settle their journals.

@@ -131,6 +131,8 @@ class JobManager:
 
         self._cond = make_condition("JobManager._cond")
         self._queue: list[str] = []  # guarded-by: _cond
+        # Admitted ids whose submit record is still being journalled.
+        self._submitting: set[str] = set()  # guarded-by: _cond
         self._running: dict[str, _Running] = {}  # guarded-by: _cond
         self._idempotency: dict[str, tuple[str, str]] = {}  # guarded-by: _cond
         self._next_number = 1  # guarded-by: _cond
@@ -264,7 +266,7 @@ class JobManager:
                     )
                 deduplicated_id = known_id
             if deduplicated_id is None:
-                if len(self._queue) >= self._max_queued:
+                if len(self._queue) + len(self._submitting) >= self._max_queued:
                     raise JobQueueFull(
                         f"job queue full ({self._max_queued} waiting); retry "
                         "shortly",
@@ -272,10 +274,9 @@ class JobManager:
                     )
                 job_id = f"j{self._next_number:06d}"
                 self._next_number += 1
-                self._queue.append(job_id)
+                self._submitting.add(job_id)
                 if key is not None:
                     self._idempotency[key] = (job_id, digest)
-                self.jobs_queued.inc()
         if deduplicated_id is not None:
             return self._status_payload(deduplicated_id, deduplicated=True)
         try:
@@ -293,15 +294,18 @@ class JobManager:
             )
         except Exception:
             with self._cond:
-                if job_id in self._queue:
-                    self._queue.remove(job_id)
-                    self.jobs_queued.dec()
+                self._submitting.discard(job_id)
                 if key is not None:
                     self._idempotency.pop(key, None)
             raise
-        self.jobs_total.inc(state="submitted")
+        # Enqueue only once the submit record is durable: the scheduler
+        # drops an id whose journal has nothing to run.
         with self._cond:
+            self._submitting.discard(job_id)
+            self._queue.append(job_id)
+            self.jobs_queued.inc()
             self._cond.notify_all()
+        self.jobs_total.inc(state="submitted")
         return self._status_payload(job_id)
 
     # -- status / result / cancel / list -------------------------------------
@@ -309,7 +313,7 @@ class JobManager:
     def _status_payload(self, job_id: str, deduplicated: bool = False) -> dict:
         job_dir = self._job_dir(job_id)
         with self._cond:
-            queued = job_id in self._queue
+            queued = job_id in self._queue or job_id in self._submitting
             live = self._running.get(job_id)
             pid = live.pid if live is not None else None
         journal = JobJournal(job_dir)

@@ -9,23 +9,21 @@ request coalescing and load shedding protecting the on-demand compute path.
 
 Layers (transport-independent core first):
 
-* :mod:`repro.serve.app` — :class:`SphereService` and the draining server;
+* :mod:`repro.serve.app` — :class:`SphereService`;
 * :mod:`repro.serve.handlers` — HTTP routing;
+* :mod:`repro.serve.http` — the handler base, draining server and signal
+  loop shared with the shard router;
 * :mod:`repro.serve.query` — canonical JSON payloads (shared with the CLI);
 * :mod:`repro.serve.cache` / :mod:`repro.serve.coalesce` — hot-path guards;
 * :mod:`repro.serve.metrics` — Prometheus text-format instrumentation;
 * :mod:`repro.serve.errors` — HTTP-mapped exception hierarchy.
 """
 
-from repro.serve.app import (
-    DrainingHTTPServer,
-    SphereService,
-    make_server,
-    run_until_signal,
-)
+from repro.serve.app import SphereService, make_server
 from repro.serve.cache import LRUCache
 from repro.serve.coalesce import SingleFlight
 from repro.serve.errors import BadRequest, NodeNotFound, ServeError, ShedLoad
+from repro.serve.http import DrainingHTTPServer, run_until_signal
 from repro.serve.metrics import Counter, Histogram, MetricsRegistry
 
 __all__ = [

@@ -34,20 +34,19 @@ refused*:
   are quarantined and surface as explicit ``500 store-corrupt`` errors,
   never as silently-wrong spheres.
 
-:func:`make_server` wraps a service in a draining ``ThreadingHTTPServer``;
-:func:`run_until_signal` runs it until SIGTERM/SIGINT, finishing in-flight
-requests before returning (graceful shutdown), and reloads on SIGHUP.
+:func:`make_server` wraps a service in the
+:class:`~repro.serve.http.DrainingHTTPServer` both serving tiers share;
+:func:`~repro.serve.http.run_until_signal` runs it until SIGTERM/SIGINT,
+finishing in-flight requests before returning (graceful shutdown), and
+the ``serve`` CLI hands it :meth:`SphereService.reload` for SIGHUP.
 """
 
 from __future__ import annotations
 
 import os
-import signal
-import sys
 import threading
 import time
 from contextlib import contextmanager
-from http.server import ThreadingHTTPServer
 from typing import Any, Iterable, Iterator, Union
 
 from repro.cascades.index import CascadeIndex
@@ -71,6 +70,7 @@ from repro.serve.errors import (
     ShedLoad,
     StoreCorrupt,
 )
+from repro.serve.http import DrainingHTTPServer
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.resilience import (
     CircuitBreaker,
@@ -669,23 +669,6 @@ class SphereService:
             }
 
 
-class DrainingHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server whose ``server_close`` waits for handlers.
-
-    ``ThreadingHTTPServer`` marks handler threads as daemons, which makes
-    ``server_close`` abandon in-flight requests; flipping ``daemon_threads``
-    off restores ``socketserver``'s thread tracking, so shutdown drains —
-    every accepted request finishes before the process exits.
-    """
-
-    daemon_threads = False
-    allow_reuse_address = True
-
-    def __init__(self, address, handler_class, service: SphereService) -> None:
-        self.service = service
-        super().__init__(address, handler_class)
-
-
 def make_server(
     service: SphereService, host: str = "127.0.0.1", port: int = 0
 ) -> DrainingHTTPServer:
@@ -693,49 +676,3 @@ def make_server(
     from repro.serve.handlers import SphereRequestHandler
 
     return DrainingHTTPServer((host, port), SphereRequestHandler, service)
-
-
-def run_until_signal(
-    server: DrainingHTTPServer,
-    signals: tuple[int, ...] = (signal.SIGTERM, signal.SIGINT),
-) -> None:
-    """Serve until one of ``signals`` arrives, then drain and close.
-
-    ``BaseServer.shutdown`` blocks until the serve loop exits, so calling
-    it from a signal handler running *in* the serving main thread would
-    deadlock; the handler hands it to a helper thread instead.  Must be
-    called from the main thread (CPython delivers signals there).
-
-    Where the platform has SIGHUP, it triggers a verified hot reload of
-    the store the server was started from (see :meth:`SphereService.
-    reload`); the outcome is logged to stderr, and a failed reload leaves
-    the current generation serving.
-    """
-
-    def request_shutdown(signum, frame):
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    def request_reload(signum, frame):
-        def _do() -> None:
-            try:
-                result = server.service.reload()
-            except ServeError as exc:
-                print(f"[serve] reload failed: {exc.message}", file=sys.stderr)
-            else:
-                print(
-                    f"[serve] reloaded store generation {result['generation']} "
-                    f"from {result['source']}",
-                    file=sys.stderr,
-                )
-
-        threading.Thread(target=_do, daemon=True).start()
-
-    previous = {s: signal.signal(s, request_shutdown) for s in signals}
-    if hasattr(signal, "SIGHUP"):
-        previous[signal.SIGHUP] = signal.signal(signal.SIGHUP, request_reload)
-    try:
-        server.serve_forever(poll_interval=0.1)
-    finally:
-        for sig, old in previous.items():
-            signal.signal(sig, old)
-        server.server_close()

@@ -1,7 +1,7 @@
 """HTTP request routing for the sphere-query service.
 
-One ``BaseHTTPRequestHandler`` subclass maps the URL surface onto
-:class:`~repro.serve.app.SphereService` methods:
+One :class:`~repro.serve.http.JSONRequestHandler` subclass maps the URL
+surface onto :class:`~repro.serve.app.SphereService` methods:
 
 ====== ======================== ==========================================
 method path                     service call
@@ -32,167 +32,30 @@ byte-identical for the same query.  Failures are JSON error documents
 (``429`` shed, ``503`` breaker-open) additionally carry a ``Retry-After``
 header.
 
-No input reaches a traceback: bodies over :data:`MAX_BODY_BYTES` are
-refused with ``413`` *before* being read or JSON-parsed, malformed input
-of any shape maps to a clean 4xx, unknown methods get a JSON ``501``
-(via the :meth:`send_error` override), and an unexpected exception in a
-handler becomes a sanitized JSON ``500`` naming only the exception type.
+This module holds only the routes and endpoint bodies.  The plumbing
+beneath them (response writes, the JSON error surface, the sanitized
+``500``, the body cap, the draining server) is
+:mod:`repro.serve.http`, shared with the shard router, so both tiers
+refuse malformed input the same way.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from http.server import BaseHTTPRequestHandler
-from typing import Any
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import urlsplit
 
 from repro.jobs.errors import JobNotFound
-from repro.serve.errors import (
-    BadRequest,
-    NodeNotFound,
-    PayloadTooLarge,
-    RetryableError,
-    ServeError,
-)
-from repro.serve.query import canonical_json
-
-#: Max accepted request body (1 MiB — thousands of node ids).
-MAX_BODY_BYTES = 1 << 20
+from repro.serve.errors import BadRequest
+from repro.serve.http import JSONRequestHandler
 
 
-def _parse_int(raw: str, name: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadRequest(f"{name} must be an integer, got {raw!r}") from None
-
-
-class SphereRequestHandler(BaseHTTPRequestHandler):
+class SphereRequestHandler(JSONRequestHandler):
     """Routes requests to the server's :class:`SphereService`."""
 
-    protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
-
-    # Per-request access logging off by default: the service is instrumented
-    # through /metrics instead, and the hammer tests would flood stderr.
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
 
     @property
     def service(self):
-        return self.server.service
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _send(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-        extra_headers: tuple[tuple[str, str], ...] = (),
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in extra_headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, status: int, payload: Any, **kwargs) -> None:
-        self._send(status, canonical_json(payload), **kwargs)
-
-    def _send_error_payload(self, exc: ServeError) -> None:
-        extra: tuple[tuple[str, str], ...] = ()
-        if isinstance(exc, RetryableError):
-            extra = (("Retry-After", format(exc.retry_after, "g")),)
-        self._send_json(
-            exc.status,
-            {"error": {"status": exc.status, "message": exc.message}},
-            extra_headers=extra,
-        )
-
-    def send_error(self, code, message=None, explain=None) -> None:  # noqa: D102
-        # http.server calls this for transport-level failures (unsupported
-        # method -> 501, bad request line -> 400); emit the same JSON error
-        # shape as every routed failure instead of the default HTML page.
-        code = int(code)
-        if message is None:
-            short, _ = self.responses.get(code, ("error", ""))
-            message = short
-        self.close_connection = True
-        try:
-            body = canonical_json(
-                {"error": {"status": code, "message": str(message)}}
-            )
-            self.send_response(code, str(message))
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            if self.command != "HEAD":
-                self.wfile.write(body)
-        except OSError:
-            pass  # client already gone
-
-    def _dispatch(self, endpoint: str, handler) -> None:
-        """Run one routed handler, recording latency and outcome metrics.
-
-        Every exception class ends as a JSON response: :class:`ServeError`
-        with its own status, a vanished client silently, and anything else
-        as a sanitized ``500`` that names the exception type but leaks no
-        message or traceback.
-        """
-        service = self.service
-        start = time.perf_counter()
-        status = 500
-        try:
-            status = handler()
-        except ServeError as exc:
-            status = exc.status
-            self._send_error_payload(exc)
-        except BrokenPipeError:
-            pass  # client went away mid-response; nothing left to send
-        except Exception as exc:
-            status = 500
-            try:
-                self._send_json(
-                    500,
-                    {"error": {"status": 500,
-                               "message": f"internal error ({type(exc).__name__})"}},
-                )
-            except OSError:
-                pass
-        finally:
-            service.request_seconds.observe(
-                time.perf_counter() - start, endpoint=endpoint
-            )
-            service.requests_total.inc(endpoint=endpoint, status=str(status))
-
-    def _query_params(self) -> dict[str, str]:
-        parsed = parse_qs(urlsplit(self.path).query, keep_blank_values=False)
-        return {name: values[-1] for name, values in parsed.items()}
-
-    def _read_json_body(self, *, required: bool) -> Any:
-        """The request body as parsed JSON, size-capped before the read."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            raise BadRequest("Content-Length must be an integer") from None
-        if length <= 0:
-            if required:
-                raise BadRequest("this endpoint needs a JSON body")
-            return None
-        if length > MAX_BODY_BYTES:
-            raise PayloadTooLarge(
-                f"body of {length} bytes exceeds the {MAX_BODY_BYTES} limit"
-            )
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise BadRequest(f"body is not valid JSON: {exc}") from None
+        return self.server.app
 
     # -- routes --------------------------------------------------------------
 
@@ -250,23 +113,23 @@ class SphereRequestHandler(BaseHTTPRequestHandler):
         return 200
 
     def _handle_sphere(self, raw_node: str) -> int:
-        node = _parse_int(raw_node, "node")
+        node = self._parse_int(raw_node, "node")
         self._send_json(200, self.service.sphere(node))
         return 200
 
     def _handle_cascades(self, raw_node: str) -> int:
-        node = _parse_int(raw_node, "node")
+        node = self._parse_int(raw_node, "node")
         params = self._query_params()
         world = None
         if "world" in params:
-            world = _parse_int(params["world"], "world")
+            world = self._parse_int(params["world"], "world")
         self._send_json(200, self.service.cascades(node, world))
         return 200
 
     def _handle_most_reliable(self) -> int:
         params = self._query_params()
-        count = _parse_int(params.get("count", "10"), "count")
-        min_size = _parse_int(params.get("min-size", "2"), "min-size")
+        count = self._parse_int(params.get("count", "10"), "count")
+        min_size = self._parse_int(params.get("min-size", "2"), "min-size")
         self._send_json(200, self.service.most_reliable(count, min_size))
         return 200
 
@@ -335,6 +198,3 @@ class SphereRequestHandler(BaseHTTPRequestHandler):
     def _handle_job_cancel(self, job_id: str) -> int:
         self._send_json(200, self._jobs().cancel(job_id))
         return 200
-
-    def _handle_unknown(self) -> int:
-        raise NodeNotFound(f"no route for {self.command} {self.path}")

@@ -22,7 +22,6 @@ requests) — so a clean SIGTERM drops zero requests end to end.
 from __future__ import annotations
 
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -356,6 +355,7 @@ def run_fleet(
     over the full, unsharded index) joins the fleet under the same
     supervision, and the router relays ``/jobs/*`` to it.
     """
+    from repro.serve.http import run_until_signal
     from repro.shard.handlers import make_router_server
     from repro.shard.router import ShardRouter
 
@@ -425,35 +425,23 @@ def run_fleet(
         flush=True,
     )
 
-    def request_shutdown(signum, frame):
-        threading.Thread(target=server.shutdown, daemon=True).start()
+    def reload_fleet() -> None:
+        status, payload = router.reload()
+        print(
+            f"[fleet] rolling reload {payload['status']} "
+            f"(http {status}): "
+            + ", ".join(
+                f"shard {entry['shard_id']} {entry['status']}"
+                for entry in payload["shards"]
+            ),
+            file=sys.stderr,
+            flush=True,
+        )
 
-    def request_reload(signum, frame):
-        def _do() -> None:
-            status, payload = router.reload()
-            print(
-                f"[fleet] rolling reload {payload['status']} "
-                f"(http {status}): "
-                + ", ".join(
-                    f"shard {entry['shard_id']} {entry['status']}"
-                    for entry in payload["shards"]
-                ),
-                file=sys.stderr,
-                flush=True,
-            )
-
-        threading.Thread(target=_do, daemon=True).start()
-
-    handled = (signal.SIGTERM, signal.SIGINT)
-    previous = {s: signal.signal(s, request_shutdown) for s in handled}
-    if hasattr(signal, "SIGHUP"):
-        previous[signal.SIGHUP] = signal.signal(signal.SIGHUP, request_reload)
+    # run_until_signal closes (drains) the router before the workers stop.
     try:
-        server.serve_forever(poll_interval=0.1)
+        run_until_signal(server, reload_fleet)
     finally:
-        for sig, old in previous.items():
-            signal.signal(sig, old)
-        server.server_close()
         if jobs_handle is not None:
             jobs_handle.stop()
         fleet.stop()

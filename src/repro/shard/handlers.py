@@ -1,7 +1,7 @@
 """HTTP surface of the shard router.
 
-One ``BaseHTTPRequestHandler`` subclass maps the worker URL surface onto
-:class:`~repro.shard.router.ShardRouter` methods:
+One :class:`~repro.serve.http.JSONRequestHandler` subclass maps the
+worker URL surface onto :class:`~repro.shard.router.ShardRouter` methods:
 
 ====== ======================== ==========================================
 method path                     router call
@@ -25,67 +25,32 @@ cannot tell a routed response from a direct worker hit — including the
 worker's own 429/503/504 refusals.  Router-originated refusals (breaker
 open, worker down, malformed request) render through the same JSON error
 shape the workers use.
+
+This module holds only the routes and endpoint bodies.  The plumbing
+beneath them (response writes, the JSON error surface, the sanitized
+``500``, the body cap, the draining server) is :mod:`repro.serve.http`,
+the same code the workers run, so the router's transport-level errors,
+body-size refusals and unknown-route ``404`` are the workers' own.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
-from urllib.parse import parse_qs, urlsplit
+from typing import cast
+from urllib.parse import urlsplit
 
-from repro.serve.errors import (
-    BadRequest,
-    NodeNotFound,
-    PayloadTooLarge,
-    RetryableError,
-    ServeError,
-)
-from repro.serve.handlers import MAX_BODY_BYTES
-from repro.serve.query import canonical_json
+from repro.serve.errors import BadRequest
+from repro.serve.http import DrainingHTTPServer, JSONRequestHandler
 from repro.shard.router import RelayResponse, ShardRouter
 
 
-def _parse_int(raw: str, name: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadRequest(f"{name} must be an integer, got {raw!r}") from None
-
-
-class RouterRequestHandler(BaseHTTPRequestHandler):
+class RouterRequestHandler(JSONRequestHandler):
     """Routes requests to the server's :class:`ShardRouter`."""
 
-    protocol_version = "HTTP/1.1"
     server_version = "repro-router/1.0"
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
 
     @property
     def router(self) -> ShardRouter:
-        return self.server.router
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _send(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-        extra_headers: tuple[tuple[str, str], ...] = (),
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in extra_headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, status: int, payload: Any, **kwargs) -> None:
-        self._send(status, canonical_json(payload), **kwargs)
+        return cast(ShardRouter, self.server.app)
 
     def _send_relay(self, response: RelayResponse) -> int:
         """Pass a worker response through byte-for-byte."""
@@ -102,90 +67,6 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
             extra_headers=extra,
         )
         return response.status
-
-    def _send_error_payload(self, exc: ServeError) -> None:
-        extra: tuple[tuple[str, str], ...] = ()
-        if isinstance(exc, RetryableError):
-            extra = (("Retry-After", format(exc.retry_after, "g")),)
-        self._send_json(
-            exc.status,
-            {"error": {"status": exc.status, "message": exc.message}},
-            extra_headers=extra,
-        )
-
-    def send_error(self, code, message=None, explain=None) -> None:  # noqa: D102
-        # Same JSON error surface as the workers for transport-level
-        # failures (unsupported method, bad request line).
-        code = int(code)
-        if message is None:
-            short, _ = self.responses.get(code, ("error", ""))
-            message = short
-        self.close_connection = True
-        try:
-            body = canonical_json(
-                {"error": {"status": code, "message": str(message)}}
-            )
-            self.send_response(code, str(message))
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            if self.command != "HEAD":
-                self.wfile.write(body)
-        except OSError:
-            pass  # client already gone
-
-    def _dispatch(self, endpoint: str, handler) -> None:
-        router = self.router
-        start = time.perf_counter()
-        status = 500
-        try:
-            status = handler()
-        except ServeError as exc:
-            status = exc.status
-            self._send_error_payload(exc)
-        except BrokenPipeError:
-            pass  # client went away mid-response
-        except Exception as exc:
-            # Includes an InjectedFault from the router.pick site: even a
-            # chaos-armed router answers with an explicit sanitized 500.
-            status = 500
-            try:
-                self._send_json(
-                    500,
-                    {"error": {"status": 500,
-                               "message": f"internal error ({type(exc).__name__})"}},
-                )
-            except OSError:
-                pass
-        finally:
-            router.request_seconds.observe(
-                time.perf_counter() - start, endpoint=endpoint
-            )
-            router.requests_total.inc(endpoint=endpoint, status=str(status))
-
-    def _query_params(self) -> dict[str, str]:
-        parsed = parse_qs(urlsplit(self.path).query, keep_blank_values=False)
-        return {name: values[-1] for name, values in parsed.items()}
-
-    def _read_json_body(self, *, required: bool) -> Any:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            raise BadRequest("Content-Length must be an integer") from None
-        if length <= 0:
-            if required:
-                raise BadRequest("this endpoint needs a JSON body")
-            return None
-        if length > MAX_BODY_BYTES:
-            raise PayloadTooLarge(
-                f"body of {length} bytes exceeds the {MAX_BODY_BYTES} limit"
-            )
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise BadRequest(f"body is not valid JSON: {exc}") from None
 
     # -- routes --------------------------------------------------------------
 
@@ -236,15 +117,15 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
         return 200
 
     def _handle_sphere(self, raw_node: str) -> int:
-        node = _parse_int(raw_node, "node")
+        node = self._parse_int(raw_node, "node")
         return self._send_relay(self.router.sphere(node))
 
     def _handle_cascades(self, raw_node: str) -> int:
-        node = _parse_int(raw_node, "node")
+        node = self._parse_int(raw_node, "node")
         params = self._query_params()
         world = None
         if "world" in params:
-            world = _parse_int(params["world"], "world")
+            world = self._parse_int(params["world"], "world")
         return self._send_relay(self.router.cascades(node, world))
 
     def _handle_batch(self) -> int:
@@ -298,40 +179,12 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
         by the jobs worker) and the response relays verbatim, so a routed
         job call is byte-identical to a direct worker hit.
         """
-        body = self._read_raw_body() if self.command == "POST" else None
+        body = self._read_body() if self.command == "POST" else None
         return self._send_relay(self.router.relay_jobs(self.command, path, body))
-
-    def _read_raw_body(self) -> bytes | None:
-        """The request body bytes for relaying, size-capped before the read."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            raise BadRequest("Content-Length must be an integer") from None
-        if length <= 0:
-            return None
-        if length > MAX_BODY_BYTES:
-            raise PayloadTooLarge(
-                f"body of {length} bytes exceeds the {MAX_BODY_BYTES} limit"
-            )
-        return self.rfile.read(length)
-
-    def _handle_unknown(self) -> int:
-        raise NodeNotFound(f"no route for {self.command} {self.path}")
-
-
-class RouterHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server that drains in-flight requests on close."""
-
-    daemon_threads = False
-    allow_reuse_address = True
-
-    def __init__(self, address, handler_class, router: ShardRouter) -> None:
-        self.router = router
-        super().__init__(address, handler_class)
 
 
 def make_router_server(
     router: ShardRouter, host: str = "127.0.0.1", port: int = 0
-) -> RouterHTTPServer:
+) -> DrainingHTTPServer:
     """Bind a draining router server (``port=0`` = ephemeral)."""
-    return RouterHTTPServer((host, port), RouterRequestHandler, router)
+    return DrainingHTTPServer((host, port), RouterRequestHandler, router)

@@ -89,6 +89,21 @@ class TestLifecycle:
         assert by_id[first]["state"] == "done"
         assert by_id[second]["model"] == "greedy_tc"
 
+    def test_slow_journal_write_does_not_orphan_the_job(self, manager_factory):
+        # The sleep holds the submission between admission and its submit
+        # record for longer than the scheduler's 0.5 s wait, so a scheduler
+        # that could already see the id would pop it, find no journal and
+        # drop it, leaving the job queued forever.
+        manager = manager_factory()
+        plan = [
+            FaultSpec(site="jobs.submit", kind="sleep", key="j000001", seconds=1.2)
+        ]
+        with fault_scope(plan):
+            view = manager.submit(CELFPP)
+        assert view["state"] == "queued"
+        assert wait_terminal(manager, view["id"], timeout=15.0)["state"] == "done"
+        wait_drained(manager)
+
 
 class TestIdempotency:
     def test_duplicate_key_returns_same_job(self, manager_factory):

@@ -82,6 +82,28 @@ def make_service(index, **kwargs) -> SphereService:
     return SphereService(index, **kwargs)
 
 
+def send_raw(port: int, request_bytes: bytes, timeout: float = 10.0) -> bytes:
+    """Send raw bytes on a fresh socket; return everything sent back.
+
+    For fuzzing below the urllib layer: malformed request lines, lying
+    Content-Length headers, non-HTTP garbage.  Half-closes the write
+    side so a well-behaved server responds and then sees EOF.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(request_bytes)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except TimeoutError:
+            pass
+        return b"".join(chunks)
+
+
 class RunningServer:
     """A live server plus a tiny urllib client for the tests."""
 
@@ -112,25 +134,7 @@ class RunningServer:
             return exc.code, dict(exc.headers), exc.read()
 
     def raw(self, request_bytes: bytes, timeout: float = 10.0) -> bytes:
-        """Send raw bytes on a fresh socket; return everything sent back.
-
-        For fuzzing below the urllib layer: malformed request lines, lying
-        Content-Length headers, non-HTTP garbage.  Half-closes the write
-        side so a well-behaved server responds and then sees EOF.
-        """
-        with socket.create_connection(("127.0.0.1", self.port), timeout=timeout) as sock:
-            sock.sendall(request_bytes)
-            sock.shutdown(socket.SHUT_WR)
-            chunks = []
-            try:
-                while True:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        break
-                    chunks.append(chunk)
-            except TimeoutError:
-                pass
-            return b"".join(chunks)
+        return send_raw(self.port, request_bytes, timeout)
 
     def close(self):
         self.server.shutdown()

@@ -33,6 +33,28 @@ def server(index, sphere_store):
     server.close()
 
 
+@pytest.fixture(scope="module")
+def router(index_store_path, tmp_path_factory):
+    """A two-shard router over the same index, for the classes that pin
+    the transport and routing surface both tiers share."""
+    from repro.shard.partition import load_partition, partition_store
+    from tests.shard.conftest import RouterUnderTest
+
+    fleet_dir = tmp_path_factory.mktemp("fuzz-fleet") / "fleet"
+    partition_store(index_store_path, fleet_dir, 2)
+    fleet = RouterUnderTest(load_partition(fleet_dir), fleet_dir, max_batch=8)
+    yield fleet
+    fleet.close()
+
+
+class ThroughRouter:
+    """Mixin: rerun an inherited test class against the shard router."""
+
+    @pytest.fixture
+    def server(self, router):
+        return router
+
+
 class TestPathFuzz:
     @pytest.mark.parametrize(
         "path",
@@ -229,3 +251,15 @@ class TestTransportFuzz:
         status, _, body = server.request("/sphere/1")
         assert status == 200
         assert json.loads(body)["node"] == 1
+
+
+class TestRouterPathFuzz(ThroughRouter, TestPathFuzz):
+    pass
+
+
+class TestRouterBatchFuzz(ThroughRouter, TestBatchFuzz):
+    pass
+
+
+class TestRouterTransportFuzz(ThroughRouter, TestTransportFuzz):
+    pass

@@ -8,6 +8,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -19,6 +20,8 @@ from repro.serve.app import SphereService, make_server
 from repro.shard.handlers import make_router_server
 from repro.shard.partition import partition_store
 from repro.shard.router import ShardRouter, StaticEndpoint
+
+from tests.serve.conftest import send_raw
 
 NUM_SHARDS = 3
 NUM_REPLICAS = 2
@@ -107,6 +110,10 @@ class HttpEndpoint:
                 return response.status, dict(response.headers), response.read()
         except urllib.error.HTTPError as exc:
             return exc.code, dict(exc.headers), exc.read()
+
+    def raw(self, request_bytes: bytes, timeout: float = 10.0) -> bytes:
+        """Raw bytes on a fresh socket (see :func:`tests.serve.conftest.send_raw`)."""
+        return send_raw(urlsplit(self.base).port, request_bytes, timeout)
 
 
 class WorkerUnderTest(HttpEndpoint):
