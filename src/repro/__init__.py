@@ -9,8 +9,8 @@ Public API tour:
   — Algorithm 2: spheres of influence via sampling + Jaccard median.
 * :func:`repro.infmax_std` / :func:`repro.infmax_tc` — the two influence
   maximisers of Section 6.4.
-* :mod:`repro.store` — the persistent memory-mapped index store
-  (:meth:`CascadeIndex.save` / :meth:`CascadeIndex.load`,
+* :mod:`repro.store` — the persistent memory-mapped index store, the one
+  on-disk index format (:meth:`CascadeIndex.save` / :meth:`CascadeIndex.load`,
   :func:`repro.build_index`, :func:`repro.append_worlds`).
 * :mod:`repro.datasets` — the 12 benchmark settings.
 * :mod:`repro.experiments` — one harness per paper table/figure.

@@ -328,108 +328,39 @@ class CascadeIndex:
 
     # -- serialisation ----------------------------------------------------------
 
-    def save(self, path: PathLike, *, format: str | None = None, overwrite: bool = False) -> None:
-        """Persist the index.
+    def save(self, path: PathLike, *, format: str = "store", overwrite: bool = False) -> None:
+        """Persist the index as a store directory at ``path``.
 
-        Two formats are supported and picked by ``format`` (or, when
-        ``None``, by the path: a ``.npz`` suffix selects the legacy
-        archive, anything else the store directory):
-
-        * ``"store"`` — the versioned columnar directory of
-          :mod:`repro.store`: checksummed header, memory-mapped zero-copy
-          :meth:`load`, :func:`~repro.store.append.append_worlds` support.
-          Preferred for anything that will be reloaded.
-        * ``"npz"`` — a single compressed archive (topology + per-world
-          DAGs); loading re-derives members and sizes in memory.
+        The store is the versioned columnar directory of :mod:`repro.store`:
+        checksummed header, memory-mapped zero-copy :meth:`load`,
+        :func:`~repro.store.append.append_worlds` support.  ``format`` names
+        it explicitly; ``"store"`` is the only layout.
         """
-        if format is None:
-            format = "npz" if str(os.fspath(path)).endswith(".npz") else "store"
-        if format == "store":
-            from repro.store.format import write_index
+        if format != "store":
+            raise ValueError(f"format must be 'store', got {format!r}")
+        from repro.store.format import write_index
 
-            write_index(self, path, overwrite=overwrite)
-            return
-        if format != "npz":
-            raise ValueError(f"format must be 'store' or 'npz', got {format!r}")
-        self._save_npz(path)
-
-    def _save_npz(self, path: PathLike) -> None:
-        arrays: dict[str, np.ndarray] = {
-            "graph_indptr": self._graph.indptr,
-            "graph_targets": self._graph.targets,
-            "graph_probs": self._graph.probs,
-            "node_comp": self._node_comp,
-            "reduced": np.array([1 if self._reduced else 0], dtype=np.int8),
-        }
-        for i, cond in enumerate(self._conds):
-            arrays[f"w{i}_indptr"] = cond.indptr
-            arrays[f"w{i}_targets"] = cond.targets
-        np.savez_compressed(path, **arrays)
+        write_index(self, path, overwrite=overwrite)
 
     @classmethod
     def load(cls, path: PathLike, *, verify: str = "fast") -> "CascadeIndex":
-        """Inverse of :meth:`save` for both formats.
+        """Inverse of :meth:`save`: open a store directory zero-copy.
 
-        A store directory is opened zero-copy via ``numpy`` memmaps (see
-        :func:`repro.store.read_index`; ``verify`` selects ``"fast"`` size
-        checks, ``"full"`` SHA-256 validation, or ``"lazy"`` first-touch
-        per-column verification).  A ``.npz`` archive is decompressed
-        fully into memory.
-
-        Every flavour of unreadable archive — truncated zip, garbage bytes,
-        missing arrays, corrupt compressed members — raises
-        :class:`~repro.store.errors.StoreFormatError` (a ``ValueError``);
-        a missing path stays ``FileNotFoundError``.
+        The columns are ``numpy`` memmaps (see :func:`repro.store.read_index`;
+        ``verify`` selects ``"fast"`` size checks, ``"full"`` SHA-256
+        validation, or ``"lazy"`` first-touch per-column verification).
+        A missing path raises ``FileNotFoundError``; anything else that is
+        not a store directory, such as a regular file, raises
+        :class:`~repro.store.errors.StoreFormatError` (a ``ValueError``).
         """
-        if os.path.isdir(path):
-            from repro.store.format import read_index
-
-            return read_index(path, verify=verify)
-        import zipfile
-        import zlib
-
         from repro.store.errors import StoreFormatError
+        from repro.store.format import read_index
 
-        try:
-            with np.load(path) as data:
-                try:
-                    n = int(data["graph_indptr"].shape[0]) - 1
-                    graph = ProbabilisticDigraph._from_csr_unchecked(
-                        n,
-                        data["graph_indptr"],
-                        data["graph_targets"],
-                        data["graph_probs"],
-                    )
-                    node_comp = data["node_comp"]
-                    reduced = bool(int(data["reduced"][0]))
-                    conds = []
-                    num_worlds = node_comp.shape[1]
-                    for i in range(num_worlds):
-                        comp = node_comp[:, i].astype(np.int64)
-                        num_components = int(comp.max()) + 1 if comp.size else 0
-                        comp_sizes = np.bincount(
-                            comp, minlength=num_components
-                        ).astype(np.int64)
-                        conds.append(
-                            Condensation(
-                                node_comp=comp,
-                                num_components=num_components,
-                                indptr=data[f"w{i}_indptr"],
-                                targets=data[f"w{i}_targets"],
-                                comp_sizes=comp_sizes,
-                            )
-                        )
-                except KeyError as exc:
-                    raise StoreFormatError(
-                        f"{os.fspath(path)} is not a complete cascade-index "
-                        f"archive: missing array — {exc.args[0]}"
-                    ) from exc
-        except FileNotFoundError:
-            raise
-        except StoreFormatError:
-            raise
-        except (zipfile.BadZipFile, zlib.error, OSError, EOFError, ValueError) as exc:
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"no cascade index at {os.fspath(path)}")
+        if not os.path.isdir(path):
             raise StoreFormatError(
-                f"{os.fspath(path)} is not a readable cascade-index archive: {exc}"
-            ) from exc
-        return cls(graph, conds, reduced=reduced)
+                f"{os.fspath(path)} is a file, not a cascade-index store "
+                "directory; rebuild it with `repro index build`"
+            )
+        return read_index(path, verify=verify)

@@ -197,11 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     ish.add_argument("--out", required=True, metavar="DIR",
                      help="fleet directory to write (shard-NN.cidx dirs + "
                           "partition.json)")
-    ish.add_argument("--by", choices=("node-range", "world-block"),
-                     default="node-range",
-                     help="partition responsibility by node range (servable "
-                          "by the router) or slice worlds into blocks "
-                          "(analytics only; default node-range)")
     ish.add_argument("--replicas", type=int, default=1,
                      help="byte-identical replica directories per shard, "
                           "pinned to the same column digests (default 1)")
@@ -227,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="HTTP/JSON query service over a saved index"
     )
     p.add_argument("store", metavar="PATH",
-                   help="saved cascade index (store directory or .npz)")
+                   help="saved cascade index store directory")
     p.add_argument("--spheres", default=None, metavar="PATH",
                    help="precomputed sphere store (.npz); its nodes are "
                         "served without any on-demand computation")
@@ -753,7 +748,6 @@ def _run_index_shard(args) -> str:
             args.path,
             args.out,
             args.shards,
-            by=args.by,
             replicas=args.replicas,
             overwrite=args.force,
         )
@@ -764,9 +758,8 @@ def _run_index_shard(args) -> str:
     )
     lines = [
         f"partitioned {args.path} into {partition.num_shards} "
-        f"{partition.mode} shards{replica_note} at {args.out}:"
+        f"node-range shards{replica_note} at {args.out}:"
     ]
-    unit = "nodes" if partition.mode == "node-range" else "worlds"
     for entry in partition.shards:
         dirs = (
             entry.dir
@@ -775,7 +768,7 @@ def _run_index_shard(args) -> str:
         )
         lines.append(
             f"  shard {entry.shard_id}: {dirs} "
-            f"{unit} [{entry.lo}, {entry.hi})"
+            f"nodes [{entry.lo}, {entry.hi})"
         )
     lines.append(f"  source digest: {partition.source_digest}")
     return "\n".join(lines)

@@ -30,7 +30,7 @@ class TypicalCascadeComputer:
 
     Parameters:
         index: a :class:`~repro.cascades.index.CascadeIndex`, or the path
-            of a saved one (store directory or ``.npz``) to load — the
+            of a saved index store directory to load — the
             persistent-index workflow: build once, then serve every
             campaign's sphere queries from the same saved index.
         size_grid_ratio: density of the median's size sweep.

@@ -56,8 +56,8 @@ def infmax_tc(
     """End-to-end InfMax_TC: compute all spheres from ``index`` (unless
     supplied) and run greedy max-cover over them.
 
-    ``index`` may also be the path of a saved index (store directory or
-    ``.npz``); it is loaded with :meth:`CascadeIndex.load`, so a single
+    ``index`` may also be the path of a saved index store directory; it
+    is loaded with :meth:`CascadeIndex.load`, so a single
     precomputed index on disk can serve many campaigns.
 
     Coverage ties are broken by each node's mean sampled-cascade size —

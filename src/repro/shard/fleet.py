@@ -373,8 +373,6 @@ def run_fleet(
             on_event=on_event,
             role="jobs",
         )
-    # Fail fast (before any worker spawns) on a partition the router
-    # cannot serve, e.g. a world-block split.
     router_kwargs = {}
     if retry_budget_ratio is not None:
         router_kwargs["retry_budget_ratio"] = retry_budget_ratio

@@ -5,37 +5,27 @@
 
     fleet/
       partition.json      <- checksummed routing map (this module)
-      shard-00.cidx/      <- replica 0 of shard 0 (v1-compatible name)
+      shard-00.cidx/      <- replica 0 of shard 0
       shard-00.r1.cidx/   <- replica 1 of shard 0 (``--replicas 2``)
       shard-01.cidx/
       ...
 
-Two partitioning modes:
-
-``node-range``
-    Shard ``s`` *owns* the contiguous node range ``[lo_s, hi_s)`` with
-    ``lo_s = floor(s * n / N)`` — a pure function of ``(n, N)``, so the
-    router and any client computing the map independently agree.  A
-    sphere or cascade query for an owned node still needs the full graph
-    and every sampled world (a cascade can reach any node), so each
-    shard directory carries the complete column set — hard-linked from
-    the source where the filesystem allows, copied otherwise.  What is
-    partitioned is *responsibility*: each worker's cache, admission
-    slots, compute load and quarantine blast-radius cover only its
-    range.  Because ``append_worlds`` and reloads replace columns via
-    ``os.replace`` (new inode), mutating one shard never leaks into its
-    siblings despite the shared bytes.
-
-``world-block``
-    Shard ``s`` holds the contiguous world block ``[lo_s, hi_s)`` as a
-    genuinely sliced store (its columns contain only that block).  Useful
-    for distributing per-world analytics or append work; the serving
-    router refuses this mode (a sphere is a median over *all* worlds, so
-    no single world-block shard can answer it byte-identically).
+The split is by node range: shard ``s`` *owns* the contiguous node range
+``[lo_s, hi_s)`` with ``lo_s = floor(s * n / N)`` — a pure function of
+``(n, N)``, so the router and any client computing the map independently
+agree.  A sphere or cascade query for an owned node still needs the full
+graph and every sampled world (a cascade can reach any node), so each
+shard directory carries the complete column set — hard-linked from the
+source where the filesystem allows, copied otherwise.  What is
+partitioned is *responsibility*: each worker's cache, admission slots,
+compute load and quarantine blast-radius cover only its range.  Because
+``append_worlds`` and reloads replace columns via ``os.replace`` (new
+inode), mutating one shard never leaks into its siblings despite the
+shared bytes.
 
 Replication (``replicas=R``) materialises each shard ``R`` times.  Every
 replica of a shard is pinned to the *same* per-column sha256 digests,
-recorded in the map itself (format version 2): the cascade index is
+recorded in the map itself: the cascade index is
 immutable per generation, so two replicas of a shard are byte-identical
 by contract, any replica can serve any request for the range, and
 anti-entropy (``repro shard scrub`` / ``repair``) reduces to comparing
@@ -56,7 +46,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -69,11 +59,10 @@ PathLike = Union[str, os.PathLike]
 PARTITION_NAME = "partition.json"
 PARTITION_MAGIC = "repro-partition-map"
 #: Version 2 added ``replicas`` / per-entry ``replica_dirs`` +
-#: ``column_digests``; version-1 maps (single replica, no pinned columns)
-#: are still read.
+#: ``column_digests``; it is the only version read.
 PARTITION_VERSION = 2
-
-MODES = ("node-range", "world-block")
+#: The one split the map records (shards own contiguous node ranges).
+PARTITION_MODE = "node-range"
 
 
 def shard_dir_name(shard_id: int) -> str:
@@ -81,7 +70,7 @@ def shard_dir_name(shard_id: int) -> str:
 
 
 def replica_dir_name(shard_id: int, replica: int) -> str:
-    """Directory name of one replica; replica 0 keeps the v1 shard name."""
+    """Directory name of one replica; replica 0 keeps the plain shard name."""
     if replica == 0:
         return shard_dir_name(shard_id)
     return f"shard-{shard_id:02d}.r{replica}.cidx"
@@ -116,49 +105,42 @@ class ShardEntry:
     hi: int
     content_digest: str
     #: ``((column_name, sha256), ...)`` sorted by name — the byte contract
-    #: every replica of this shard is pinned to.  Empty on maps read from
-    #: format version 1 (scrub then falls back to each replica's own
-    #: self-checksummed header).
-    column_digests: tuple[tuple[str, str], ...] = field(default=())
+    #: every replica of this shard is pinned to.
+    column_digests: tuple[tuple[str, str], ...]
 
     @property
     def dir(self) -> str:
-        """Primary replica directory (the v1 single-replica field)."""
+        """Primary replica directory."""
         return self.replica_dirs[0]
 
     @property
     def column_digest_map(self) -> dict[str, str]:
         return dict(self.column_digests)
 
-    def to_mapping(self, mode: str) -> dict:
-        prefix = "node" if mode == "node-range" else "world"
+    def to_mapping(self) -> dict:
         return {
             "shard_id": self.shard_id,
             "replica_dirs": list(self.replica_dirs),
-            f"{prefix}_lo": self.lo,
-            f"{prefix}_hi": self.hi,
+            "node_lo": self.lo,
+            "node_hi": self.hi,
             "content_digest": self.content_digest,
             "column_digests": {name: sha for name, sha in self.column_digests},
         }
 
     @classmethod
-    def from_mapping(cls, raw: dict, mode: str) -> "ShardEntry":
-        prefix = "node" if mode == "node-range" else "world"
+    def from_mapping(cls, raw: dict) -> "ShardEntry":
         try:
-            if "replica_dirs" in raw:
-                dirs = tuple(str(d) for d in raw["replica_dirs"])
-            else:
-                dirs = (str(raw["dir"]),)  # format version 1
+            dirs = tuple(str(d) for d in raw["replica_dirs"])
             if not dirs:
                 raise ValueError("entry lists no replica directories")
-            columns = raw.get("column_digests", {})
+            columns = raw["column_digests"]
             if not isinstance(columns, dict):
                 raise TypeError("column_digests must be a mapping")
             return cls(
                 shard_id=int(raw["shard_id"]),
                 replica_dirs=dirs,
-                lo=int(raw[f"{prefix}_lo"]),
-                hi=int(raw[f"{prefix}_hi"]),
+                lo=int(raw["node_lo"]),
+                hi=int(raw["node_hi"]),
                 content_digest=str(raw["content_digest"]),
                 column_digests=tuple(
                     (str(k), str(v)) for k, v in sorted(columns.items())
@@ -174,19 +156,14 @@ class ShardEntry:
 class PartitionMap:
     """Parsed, validated ``partition.json`` of a fleet directory."""
 
-    mode: str
     num_shards: int
     num_nodes: int
     num_worlds: int
     source_digest: str
     shards: tuple[ShardEntry, ...]
-    replicas: int = 1
+    replicas: int
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise StoreFormatError(
-                f"partition mode must be one of {MODES}, got {self.mode!r}"
-            )
         if self.replicas < 1:
             raise StoreFormatError(
                 f"partition map declares {self.replicas} replicas"
@@ -195,6 +172,12 @@ class PartitionMap:
             raise StoreFormatError(
                 f"partition map declares {self.num_shards} shards but lists "
                 f"{len(self.shards)}"
+            )
+        shard_ids = [e.shard_id for e in self.shards]
+        if shard_ids != list(range(self.num_shards)):
+            raise StoreIntegrityError(
+                f"partition shard ids {shard_ids} are not 0..{self.num_shards - 1} "
+                "in order"
             )
         for entry in self.shards:
             if len(entry.replica_dirs) != self.replicas:
@@ -208,21 +191,16 @@ class PartitionMap:
             raise StoreIntegrityError(
                 "partition map lists the same directory for two replicas"
             )
-        total = self.num_nodes if self.mode == "node-range" else self.num_worlds
-        expected = shard_ranges(total, self.num_shards)
+        expected = shard_ranges(self.num_nodes, self.num_shards)
         actual = [(e.lo, e.hi) for e in self.shards]
         if actual != expected:
             raise StoreIntegrityError(
                 f"partition ranges {actual} are not the canonical split of "
-                f"{total} units across {self.num_shards} shards {expected}"
+                f"{self.num_nodes} nodes across {self.num_shards} shards {expected}"
             )
 
     def shard_for_node(self, node: int) -> int:
         """The shard owning ``node`` — O(1) from the canonical split."""
-        if self.mode != "node-range":
-            raise StoreFormatError(
-                f"cannot route nodes over a {self.mode!r} partition"
-            )
         if not 0 <= node < self.num_nodes:
             raise KeyError(
                 f"node {node} not in index ({self.num_nodes} nodes)"
@@ -240,13 +218,13 @@ class PartitionMap:
         payload = {
             "magic": PARTITION_MAGIC,
             "format_version": PARTITION_VERSION,
-            "mode": self.mode,
+            "mode": PARTITION_MODE,
             "num_shards": self.num_shards,
             "replicas": self.replicas,
             "num_nodes": self.num_nodes,
             "num_worlds": self.num_worlds,
             "source_digest": self.source_digest,
-            "shards": [e.to_mapping(self.mode) for e in self.shards],
+            "shards": [e.to_mapping() for e in self.shards],
         }
         body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         payload["map_checksum"] = digest_text(body)
@@ -265,10 +243,11 @@ class PartitionMap:
                 "not a partition map (bad or missing magic string)"
             )
         version = payload.get("format_version")
-        if version not in (1, PARTITION_VERSION):
+        if version != PARTITION_VERSION:
             raise StoreFormatError(
                 f"unsupported partition map version {version!r} "
-                f"(this library reads versions 1 and {PARTITION_VERSION})"
+                f"(this library reads version {PARTITION_VERSION}); "
+                "re-partition with `repro index shard`"
             )
         recorded = payload.pop("map_checksum", None)
         if recorded is None:
@@ -279,24 +258,28 @@ class PartitionMap:
                 "partition map checksum mismatch — the map was corrupted or "
                 "edited"
             )
+        mode = payload.get("mode")
+        if mode != PARTITION_MODE:
+            raise StoreFormatError(
+                f"unsupported partition mode {mode!r} (this library reads "
+                f"{PARTITION_MODE!r} maps); re-partition with `repro index shard`"
+            )
         try:
-            mode = str(payload["mode"])
-            shards = tuple(
-                ShardEntry.from_mapping(raw, mode) for raw in payload["shards"]
-            )
-            return cls(
-                mode=mode,
-                num_shards=int(payload["num_shards"]),
-                num_nodes=int(payload["num_nodes"]),
-                num_worlds=int(payload["num_worlds"]),
-                source_digest=str(payload["source_digest"]),
-                shards=shards,
-                replicas=int(payload.get("replicas", 1)),
-            )
+            fields = {
+                "num_shards": int(payload["num_shards"]),
+                "num_nodes": int(payload["num_nodes"]),
+                "num_worlds": int(payload["num_worlds"]),
+                "source_digest": str(payload["source_digest"]),
+                "shards": tuple(ShardEntry.from_mapping(raw) for raw in payload["shards"]),
+                "replicas": int(payload["replicas"]),
+            }
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreFormatError(
                 f"partition map is missing required fields: {exc}"
             ) from exc
+        # Outside the parse guard: a well-formed map that breaks an
+        # invariant keeps the invariant's own error.
+        return cls(**fields)
 
 
 def load_partition(fleet_dir: PathLike) -> PartitionMap:
@@ -351,42 +334,11 @@ def _stage_replica_dir(source: Path, staging: Path) -> None:
     shutil.copy2(source / HEADER_NAME, staging / HEADER_NAME)
 
 
-def _stage_world_block_shard(index, lo: int, hi: int, staging: Path) -> str:
-    """Write worlds ``[lo, hi)`` of ``index`` as a standalone sliced store."""
-    import numpy as np
-
-    from repro.cascades.index import CascadeIndex
-    from repro.store.format import write_index
-
-    sub = CascadeIndex(
-        index.graph,
-        [index.condensation(w) for w in range(lo, hi)],
-        reduced=index.reduced,
-        # No sampler: worlds lo..hi of the source are *not* worlds 0..hi-lo
-        # of a fresh build, so a sliced shard cannot deterministically
-        # append — its header honestly records no seed entropy.
-        sampler=None,
-        members=[index.world_members(w) for w in range(lo, hi)],
-        node_comp=np.ascontiguousarray(index.component_matrix[:, lo:hi]),
-    )
-    header = write_index(sub, staging)
-    return header.content_digest
-
-
-def _column_digests(store_dir: Path) -> tuple[tuple[str, str], ...]:
-    """The per-column sha256 pins, straight from a self-checksummed header."""
-    header = read_header(store_dir)
-    return tuple(
-        (name, header.arrays[name].sha256) for name in sorted(header.arrays)
-    )
-
-
 def partition_store(
     store: PathLike,
     out: PathLike,
     num_shards: int,
     *,
-    by: str = "node-range",
     replicas: int = 1,
     overwrite: bool = False,
 ) -> PartitionMap:
@@ -396,8 +348,6 @@ def partition_store(
     existing ``out`` unless ``overwrite`` is set *and* it already looks
     like a fleet directory (never silently replaces foreign data).
     """
-    if by not in MODES:
-        raise ValueError(f"by must be one of {MODES}, got {by!r}")
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     source = Path(os.fspath(store))
@@ -416,14 +366,7 @@ def partition_store(
         shutil.rmtree(root)
     root.mkdir(parents=True)
 
-    total = header.num_nodes if by == "node-range" else header.num_worlds
-    ranges = shard_ranges(total, num_shards)
-    index = None
-    if by == "world-block":
-        from repro.cascades.index import CascadeIndex
-
-        index = CascadeIndex.load(source)
-
+    ranges = shard_ranges(header.num_nodes, num_shards)
     source_columns = tuple(
         (name, header.arrays[name].sha256) for name in sorted(header.arrays)
     )
@@ -431,23 +374,13 @@ def partition_store(
     entries: list[ShardEntry] = []
     for shard_id, (lo, hi) in enumerate(ranges):
         dirs: list[str] = []
-        digest = header.content_digest
-        columns = source_columns
         for replica in range(replicas):
             name = replica_dir_name(shard_id, replica)
             final = root / name
             staging = root / (name + ".staging")
             if staging.exists():
                 shutil.rmtree(staging)
-            if by == "node-range":
-                _stage_replica_dir(source, staging)
-            elif replica == 0:
-                digest = _stage_world_block_shard(index, lo, hi, staging)
-                columns = _column_digests(staging)
-            else:
-                # Later world-block replicas link from the sliced replica 0
-                # rather than re-slicing: bit-identical by construction.
-                _stage_replica_dir(root / dirs[0], staging)
+            _stage_replica_dir(source, staging)
             os.rename(staging, final)
             dirs.append(name)
         entries.append(
@@ -456,13 +389,12 @@ def partition_store(
                 replica_dirs=tuple(dirs),
                 lo=lo,
                 hi=hi,
-                content_digest=digest,
-                column_digests=columns,
+                content_digest=header.content_digest,
+                column_digests=source_columns,
             )
         )
 
     partition = PartitionMap(
-        mode=by,
         num_shards=num_shards,
         num_nodes=header.num_nodes,
         num_worlds=header.num_worlds,

@@ -1,18 +1,16 @@
 """Anti-entropy for replicated shard stores: scrub and repair.
 
 The replication contract (see :mod:`repro.shard.partition`) pins every
-replica of a shard to the same per-column sha256 digests, recorded in the
-v2 ``partition.json``.  Because a cascade-index generation is immutable,
+replica of a shard to the same per-column sha256 digests, recorded in
+``partition.json``.  Because a cascade-index generation is immutable,
 "replica health" is a pure function of bytes on disk:
 
 ``scrub``
     Hash every column file of every replica and compare against the
-    map-pinned digests (falling back to the replica's own self-checksummed
-    header for maps written by format version 1, which carried no column
-    pins).  A replica whose header is unreadable, whose ``content_digest``
-    disagrees with the map, or whose columns are missing/divergent is
-    reported with a per-column problem list — the router uses this to
-    quarantine it out of rotation.
+    map-pinned digests.  A replica whose header is unreadable, whose
+    ``content_digest`` disagrees with the map, or whose columns are
+    missing/divergent is reported with a per-column problem list — the
+    router uses this to quarantine it out of rotation.
 
 ``repair``
     Rebuild one replica directory from a scrub-verified healthy peer:
@@ -123,21 +121,6 @@ class RepairReport:
         }
 
 
-def _pinned_digests(entry: ShardEntry, store_dir: Path) -> dict[str, str]:
-    """Column name -> sha256 this replica must match.
-
-    v2 maps pin the digests themselves; for v1 maps the replica's own
-    header is the authority (it is self-checksummed, and its
-    ``content_digest`` is separately compared against the map, so a
-    swapped-in foreign header still fails the scrub).
-    """
-    pinned = entry.column_digest_map
-    if pinned:
-        return pinned
-    header = read_header(store_dir)
-    return {name: info.sha256 for name, info in header.arrays.items()}
-
-
 def scrub_replica(
     fleet_dir: PathLike, entry: ShardEntry, replica: int
 ) -> ReplicaScrub:
@@ -163,10 +146,7 @@ def scrub_replica(
             f"header: content digest {header.content_digest} does not match "
             f"partition map pin {entry.content_digest}"
         )
-    try:
-        digests = _pinned_digests(entry, store_dir)
-    except StoreError:
-        digests = {}
+    digests = entry.column_digest_map
     for name in sorted(digests):
         want = digests[name]
         column = store_dir / f"{name}.npy"
@@ -253,7 +233,7 @@ def repair_replica(
 
     src_dir = root / entry.replica_dirs[source]
     target = root / entry.replica_dirs[replica]
-    digests = _pinned_digests(entry, src_dir)
+    digests = entry.column_digest_map
     staging = root / (entry.replica_dirs[replica] + ".staging")
     if staging.exists():
         shutil.rmtree(staging)

@@ -24,7 +24,7 @@ mechanisms close that gap:
     problem: an operator deciding whether to restore from backup wants
     the complete damage list.
 
-The legacy ``.npz`` :class:`~repro.core.store.SphereStore` needs neither:
+The ``.npz`` :class:`~repro.core.store.SphereStore` needs neither:
 it is decompressed eagerly at load and every member is CRC-protected by
 the zip container, so corruption already surfaces as a
 :class:`~repro.store.errors.StoreFormatError` at open.

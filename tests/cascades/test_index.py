@@ -137,7 +137,7 @@ class TestStats:
 class TestSerialisation:
     def test_save_load_roundtrip(self, small_random, tmp_path):
         index = CascadeIndex.build(small_random, 6, seed=4)
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index"
         index.save(path)
         loaded = CascadeIndex.load(path)
         assert loaded.num_worlds == 6
@@ -151,7 +151,7 @@ class TestSerialisation:
 
     def test_loaded_graph_equal(self, small_random, tmp_path):
         index = CascadeIndex.build(small_random, 3, seed=4)
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index"
         index.save(path)
         assert CascadeIndex.load(path).graph == small_random
 

@@ -32,9 +32,15 @@ class TestExtend:
         assert sizes[5, 4] == index.cascade_size(5, 4)
 
     def test_loaded_index_not_extendable(self, small_random, tmp_path):
-        index = CascadeIndex.build(small_random, 3, seed=1)
-        path = tmp_path / "idx.npz"
-        index.save(path)
+        built = CascadeIndex.build(small_random, 3, seed=1)
+        # Without a sampler the store records no seed entropy to extend from.
+        path = tmp_path / "idx"
+        CascadeIndex(
+            small_random,
+            [built.condensation(w) for w in range(3)],
+            reduced=built.reduced,
+            sampler=None,
+        ).save(path)
         loaded = CascadeIndex.load(path)
         with pytest.raises(RuntimeError, match="rebuild"):
             loaded.extend(1)

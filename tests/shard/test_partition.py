@@ -17,7 +17,17 @@ from repro.shard.partition import (
     verify_partition_stores,
 )
 from repro.store.errors import StoreFormatError, StoreIntegrityError
+from repro.store.fingerprint import digest_text
 from repro.store.format import read_header
+
+
+def _signed(payload: dict) -> str:
+    """``payload`` as map text with a freshly recomputed self-checksum."""
+    payload = dict(payload)
+    payload.pop("map_checksum", None)
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    payload["map_checksum"] = digest_text(body)
+    return json.dumps(payload)
 
 
 class TestShardRanges:
@@ -43,7 +53,8 @@ class TestShardRanges:
 
 class TestPartitionStore:
     def test_map_round_trips_and_validates(self, fleet_dir, partition):
-        assert partition.mode == "node-range"
+        raw = json.loads((fleet_dir / PARTITION_NAME).read_text())
+        assert raw["mode"] == "node-range"
         assert partition.num_shards == 3
         assert load_partition(fleet_dir) == partition
 
@@ -97,13 +108,26 @@ class TestMapIntegrity:
         shards = list(partition.shards)
         with pytest.raises(StoreIntegrityError, match="canonical split"):
             PartitionMap(
-                mode=partition.mode,
                 num_shards=partition.num_shards,
                 num_nodes=partition.num_nodes + 1,
                 num_worlds=partition.num_worlds,
                 source_digest=partition.source_digest,
                 shards=tuple(shards),
+                replicas=partition.replicas,
             )
+
+    @pytest.mark.parametrize("shard_ids", [(1, 1), (1, 0)])
+    def test_shard_ids_must_be_zero_to_n_in_order(
+        self, store_path, tmp_path, shard_ids
+    ):
+        target = tmp_path / "fleet"
+        partition_store(store_path, target, 2)
+        payload = json.loads((target / PARTITION_NAME).read_text())
+        for raw, shard_id in zip(payload["shards"], shard_ids):
+            raw["shard_id"] = shard_id
+        (target / PARTITION_NAME).write_text(_signed(payload))
+        with pytest.raises(StoreIntegrityError, match="shard ids"):
+            load_partition(target)
 
     def test_rebuilt_shard_is_detected(self, store_path, tmp_path, index):
         target = tmp_path / "fleet"
@@ -154,46 +178,20 @@ class TestReplicatedPartition:
         assert load_partition(replica_fleet_dir) == replica_partition
         verify_partition_stores(replica_fleet_dir, replica_partition)
 
-    def test_v1_map_still_loads(self, partition):
-        from repro.store.fingerprint import digest_text
-
-        payload = {
-            "magic": "repro-partition-map",
-            "format_version": 1,
-            "mode": partition.mode,
-            "num_shards": partition.num_shards,
-            "num_nodes": partition.num_nodes,
-            "num_worlds": partition.num_worlds,
-            "source_digest": partition.source_digest,
-            "shards": [
-                {
-                    "shard_id": e.shard_id,
-                    "dir": e.dir,
-                    "node_lo": e.lo,
-                    "node_hi": e.hi,
-                    "content_digest": e.content_digest,
-                }
-                for e in partition.shards
-            ],
-        }
-        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        payload["map_checksum"] = digest_text(body)
-        loaded = PartitionMap.from_json(json.dumps(payload))
-        assert loaded.replicas == 1
-        for entry in loaded.shards:
-            assert len(entry.replica_dirs) == 1
-            assert entry.column_digests == ()
-
     def test_unknown_version_is_refused(self, fleet_dir):
-        payload = json.loads((fleet_dir / PARTITION_NAME).read_text())
-        payload["format_version"] = 99
-        with pytest.raises(StoreFormatError, match="version"):
-            PartitionMap.from_json(json.dumps(payload))
+        original = json.loads((fleet_dir / PARTITION_NAME).read_text())
+        for field, value, match in (
+            ("format_version", 99, "version 99"),
+            ("format_version", 1, "version 1"),
+            ("mode", "world-block", "mode 'world-block'.*re-partition"),
+        ):
+            payload = dict(original, **{field: value})
+            with pytest.raises(StoreFormatError, match=match):
+                PartitionMap.from_json(_signed(payload))
 
     def test_rejects_replica_count_mismatch(self, partition):
         with pytest.raises(StoreFormatError, match="replica dirs"):
             PartitionMap(
-                mode=partition.mode,
                 num_shards=partition.num_shards,
                 num_nodes=partition.num_nodes,
                 num_worlds=partition.num_worlds,
@@ -201,14 +199,6 @@ class TestReplicatedPartition:
                 shards=partition.shards,
                 replicas=2,
             )
-
-    def test_world_block_replication(self, store_path, tmp_path):
-        target = tmp_path / "wb"
-        wb = partition_store(
-            store_path, target, 2, by="world-block", replicas=2
-        )
-        assert wb.replicas == 2
-        verify_partition_stores(target, wb)
 
 
 class TestShardForNode:
@@ -228,34 +218,3 @@ class TestShardForNode:
         )
         with pytest.raises(KeyError):
             partition.shard_for_node(-1)
-
-
-class TestWorldBlockMode:
-    def test_slices_worlds_into_independent_stores(self, store_path, tmp_path, index):
-        target = tmp_path / "wb"
-        partition = partition_store(store_path, target, 2, by="world-block")
-        assert partition.mode == "world-block"
-        total = 0
-        for entry in partition.shards:
-            shard = CascadeIndex.load(target / entry.dir)
-            assert shard.num_nodes == index.num_nodes
-            assert shard.num_worlds == entry.hi - entry.lo
-            header = read_header(target / entry.dir)
-            assert header.content_digest == entry.content_digest
-            import numpy as np
-
-            for offset in range(shard.num_worlds):
-                ours = list(shard.world_members(offset))
-                source = list(index.world_members(entry.lo + offset))
-                assert len(ours) == len(source)
-                assert all(
-                    np.array_equal(a, b) for a, b in zip(ours, source)
-                )
-            total += shard.num_worlds
-        assert total == index.num_worlds
-
-    def test_world_block_cannot_route_nodes(self, store_path, tmp_path):
-        target = tmp_path / "wb"
-        partition = partition_store(store_path, target, 2, by="world-block")
-        with pytest.raises(StoreFormatError, match="cannot route nodes"):
-            partition.shard_for_node(0)

@@ -4,7 +4,6 @@ every failure path leaves the target untouched."""
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import shutil
 
@@ -59,18 +58,6 @@ class TestScrub:
         verdict = scrub_replica(replica_fleet_dir, entry, 1)
         assert not verdict.ok
         assert "missing" in verdict.problems[0]
-
-    def test_v1_map_falls_back_to_header_digests(
-        self, replica_fleet_dir, replica_partition
-    ):
-        # A v1 map carries no column pins; the replica's self-checksummed
-        # header is the authority instead.
-        entry = dataclasses.replace(
-            replica_partition.shards[0], column_digests=()
-        )
-        assert scrub_replica(replica_fleet_dir, entry, 1).ok
-        _corrupt_column(replica_fleet_dir, entry.replica_dirs[1])
-        assert not scrub_replica(replica_fleet_dir, entry, 1).ok
 
 
 class TestRepair:

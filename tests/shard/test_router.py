@@ -9,7 +9,6 @@ import json
 import pytest
 
 from repro.runtime.faults import FaultSpec, fault_scope
-from repro.shard.partition import partition_store
 from repro.shard.router import ShardRouter, StaticEndpoint
 
 
@@ -324,15 +323,6 @@ class TestRollingReload:
 
 
 class TestRouterConstruction:
-    def test_refuses_world_block_partitions(self, store_path, tmp_path):
-        from repro.shard.partition import load_partition
-
-        target = tmp_path / "wb"
-        partition_store(store_path, target, 2, by="world-block")
-        partition = load_partition(target)
-        with pytest.raises(ValueError, match="node-range"):
-            ShardRouter(partition, [StaticEndpoint(None)] * 2)
-
     def test_refuses_mismatched_worker_count(self, partition):
         with pytest.raises(ValueError, match="worker endpoints"):
             ShardRouter(partition, [StaticEndpoint(None)] * 2)

@@ -89,11 +89,14 @@ class TestAppend:
 class TestAppendGuards:
     def test_store_without_entropy_refuses(self, small_random, tmp_path):
         index = CascadeIndex.build(small_random, 4, seed=3)
-        npz = tmp_path / "legacy.npz"
-        index.save(npz)
-        reloaded = CascadeIndex.load(npz)  # npz drops the sampler seed
+        sampler_less = CascadeIndex(
+            small_random,
+            [index.condensation(w) for w in range(4)],
+            reduced=index.reduced,
+            sampler=None,
+        )
         path = tmp_path / "no-entropy"
-        write_index(reloaded, path)
+        write_index(sampler_less, path)
         with pytest.raises(StoreError, match="no seed entropy"):
             append_worlds(path, 2)
 

@@ -168,13 +168,6 @@ class TestWriteGuards:
             write_index(index, foreign, overwrite=True)
         assert (foreign / "data.txt").read_text() == "do not delete"
 
-    def test_npz_suffix_dispatches_to_legacy_format(self, index, tmp_path):
-        path = tmp_path / "legacy.npz"
-        index.save(path)
-        assert path.is_file()
-        loaded = CascadeIndex.load(path)
-        np.testing.assert_array_equal(loaded.cascade(0, 0), index.cascade(0, 0))
-
 
 class TestLaziness:
     def test_worlds_materialise_on_first_touch_only(self):

@@ -217,15 +217,16 @@ class TestErrorHygiene:
 
     def test_corrupt_index_archive(self, tmp_path, capsys):
         bad = tmp_path / "bad.npz"
-        bad.write_bytes(b"garbage, not a zip archive")
+        bad.write_bytes(b"garbage, not a store directory")
         assert main(["sphere", "--index", str(bad), "--node", "0"]) == 2
         err = capsys.readouterr().err
-        assert "not a readable" in err
+        assert "repro index build" in err
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_missing_index_file(self, tmp_path, capsys):
         assert main(
-            ["sphere", "--index", str(tmp_path / "nope.npz"), "--node", "0"]
+            ["sphere", "--index", str(tmp_path / "nope"), "--node", "0"]
         ) == 2
         assert "error:" in capsys.readouterr().err
 

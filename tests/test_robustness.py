@@ -14,28 +14,30 @@ from repro.core.typical_cascade import TypicalCascadeComputer
 from repro.graph.digraph import ProbabilisticDigraph
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.median.samples import SampleCollection
-from repro.store.errors import StoreFormatError
+from repro.store.errors import StoreFormatError, StoreIntegrityError
 
 
 class TestCorruptedFiles:
     def test_truncated_index_file(self, small_random, tmp_path):
         index = CascadeIndex.build(small_random, 4, seed=1)
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index"
         index.save(path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(StoreFormatError, match="not a readable"):
+        column = path / "dag_targets.npy"
+        raw = column.read_bytes()
+        column.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(StoreIntegrityError, match="truncated"):
             CascadeIndex.load(path)
 
     def test_wrong_format_index_file(self, tmp_path):
+        # A regular file, e.g. a single-file archive, is not a store.
         path = tmp_path / "garbage.npz"
-        path.write_bytes(b"this is not an npz archive")
-        with pytest.raises(StoreFormatError, match="not a readable"):
+        path.write_bytes(b"this is not a store directory")
+        with pytest.raises(StoreFormatError, match="repro index build"):
             CascadeIndex.load(path)
 
     def test_missing_index_file_stays_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            CascadeIndex.load(tmp_path / "never-written.npz")
+            CascadeIndex.load(tmp_path / "never-written")
 
     def test_truncated_sphere_store(self, small_random, tmp_path):
         index = CascadeIndex.build(small_random, 4, seed=1)
@@ -53,10 +55,12 @@ class TestCorruptedFiles:
         with pytest.raises(StoreFormatError, match="not a readable"):
             SphereStore.load(path)
 
-    def test_npz_with_missing_arrays(self, tmp_path):
-        path = tmp_path / "partial.npz"
-        np.savez(path, graph_indptr=np.array([0, 0]))
-        with pytest.raises(StoreFormatError, match="missing array"):
+    def test_npz_with_missing_arrays(self, small_random, tmp_path):
+        # The store form of a partial archive: one column file is gone.
+        path = tmp_path / "partial"
+        CascadeIndex.build(small_random, 2, seed=1).save(path)
+        (path / "members.npy").unlink()
+        with pytest.raises(StoreIntegrityError, match="missing array"):
             CascadeIndex.load(path)
 
     def test_corrupted_sphere_store(self, tmp_path):
