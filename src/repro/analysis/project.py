@@ -744,7 +744,7 @@ class ProjectContext:
 class ProjectChecker(abc.ABC):
     """Base class for whole-program checkers (REP7xx).
 
-    Mirrors :class:`~repro.analysis.checkers.base.Checker` but receives the
+    Shaped like :class:`~repro.analysis.checkers.base.Checker` but receives the
     cross-linked :class:`ProjectContext` instead of one module.
     """
 

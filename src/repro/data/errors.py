@@ -52,7 +52,7 @@ class ParseError(DataError):
 class ManifestError(DataError):
     """A ``dataset.json`` ingest manifest is missing, torn or tampered.
 
-    Mirrors the refusal semantics of the shard tier's ``partition.json``:
+    Follows the refusal semantics of the shard tier's ``partition.json``:
     a dataset whose manifest cannot be checksum-validated is never served
     to the index builder.
     """

@@ -2,6 +2,12 @@
 paper's max-cover method over spheres of influence (InfMax_TC, Algorithm 3),
 spread estimation, the RIS comparator, and the saturation analysis of
 Figure 7.
+
+The max-cover, budgeted-cover and CELF++ greedies each exist once, as a
+stepwise engine (``maxcover.StepwiseMaxCover``,
+``maxcover.StepwiseBudgetedCover``, ``celfpp.StepwiseCelfpp``): the
+offline functions here run them to completion, and the job service
+(:mod:`repro.jobs`) steps them one journalled iteration at a time.
 """
 
 from repro.influence.spread import SpreadOracle, evaluate_spread_curve

@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-
 from repro.cascades.index import CascadeIndex
 from repro.influence.greedy_std import GreedyTrace
 from repro.influence.spread import SpreadOracle
@@ -28,11 +27,102 @@ from repro.utils.validation import check_positive_int
 class _Entry:
     """Mutable CELF++ heap payload for one candidate node."""
 
-    node: int
     mg1: float  # marginal gain w.r.t. the current seed set S
     mg2: float  # marginal gain w.r.t. S + {prev_best}
     prev_best: int  # best-seen candidate at evaluation time (-1: none)
-    flag: int  # iteration at which mg1 was computed
+    flag: int  # iteration at which mg1 was computed (-1: never)
+
+
+class StepwiseCelfpp:
+    """CELF++ over the index's sampled worlds, one selection per step.
+
+    Drives the same three-call contract as the cover engines (see
+    :mod:`repro.influence.maxcover`).  The heap ties by
+    ``(-mg1, node_id)``, so equal exact gains always select the smallest
+    node id — the determinism the resume purity contract needs.
+    """
+
+    def __init__(self, index: CascadeIndex, k: int) -> None:
+        self._oracle = SpreadOracle(index)
+        self._k = min(int(k), index.num_nodes)
+        self._trace = GreedyTrace()
+        self._entries: dict[int, _Entry] = {}
+        self._heap: list[tuple[float, int]] | None = None
+
+    def _commit(self, node: int) -> float:
+        realized = self._oracle.add_seed(node)
+        self._trace.seeds.append(node)
+        self._trace.gains.append(realized)
+        self._trace.spreads.append(self._oracle.current_spread())
+        return realized
+
+    def resume(self, steps: list[dict]) -> None:
+        """Replay a committed prefix; gains are *recomputed*, not trusted."""
+        if self._heap is not None or self._trace.seeds:
+            raise RuntimeError("resume() must run before the first step()")
+        for record in steps:
+            self._commit(int(record["node"]))
+
+    def _ensure_heap(self) -> None:
+        if self._heap is not None:
+            return
+        initial = self._oracle.initial_gains()
+        self._trace.evaluations += self._oracle.index.num_nodes
+        chosen = set(self._trace.seeds)
+        # sigma({v}) upper-bounds gain(v | S) by submodularity, and mg2
+        # starts as that same bound.  flag=-1 marks it as never evaluated
+        # against S: with no seed yet it is exact, and the shortcut in
+        # step() accepts it without an oracle call; after a resumed
+        # prefix it forces a full re-evaluation.
+        self._entries = {
+            v: _Entry(mg1=float(initial[v]), mg2=float(initial[v]), prev_best=-1, flag=-1)
+            for v in range(self._oracle.index.num_nodes)
+            if v not in chosen
+        }
+        self._heap = [(-entry.mg1, v) for v, entry in self._entries.items()]
+        heapq.heapify(self._heap)
+
+    def step(self) -> dict | None:
+        """Commit one selection; its journal ``step`` fields, or ``None``."""
+        trace = self._trace
+        iteration = len(trace.seeds)
+        if iteration >= self._k:
+            return None
+        self._ensure_heap()
+        heap, entries = self._heap, self._entries
+        last_seed = trace.seeds[-1] if trace.seeds else -1
+        while heap:
+            _, node = heapq.heappop(heap)
+            entry = entries[node]
+            if entry.flag == iteration:
+                return {"iteration": iteration, "node": node, "gain": self._commit(node)}
+            if entry.prev_best == last_seed and entry.flag == iteration - 1:
+                # CELF++ shortcut: mg2 was computed w.r.t. S + {last_seed},
+                # which is exactly the current seed set — no oracle call.
+                entry.mg1 = entry.mg2
+                entry.prev_best = -1
+            else:
+                if heap:
+                    front = heap[0][1]
+                    entry.mg1, entry.mg2 = self._oracle.marginal_gain_pair(node, front)
+                    entry.prev_best = front
+                else:
+                    entry.mg1 = entry.mg2 = self._oracle.marginal_gain(node)
+                    entry.prev_best = -1
+                trace.evaluations += 1
+            entry.flag = iteration
+            heapq.heappush(heap, (-entry.mg1, node))
+        return None
+
+    def finalize(self) -> dict:
+        """The journal ``result`` fields of the selection so far."""
+        trace = self._trace
+        return {
+            "seeds": list(trace.seeds),
+            "gains": list(trace.gains),
+            "coverage": list(trace.spreads),
+            "estimate": trace.spreads[-1] if trace.spreads else 0.0,
+        }
 
 
 def infmax_celfpp(index: CascadeIndex, k: int) -> GreedyTrace:
@@ -41,60 +131,7 @@ def infmax_celfpp(index: CascadeIndex, k: int) -> GreedyTrace:
     n = index.num_nodes
     if k > n:
         raise ValueError(f"k={k} exceeds the number of nodes {n}")
-
-    oracle = SpreadOracle(index)
-    trace = GreedyTrace()
-
-    initial = oracle.initial_gains()
-    trace.evaluations += n
-
-    entries: dict[int, _Entry] = {}
-    heap: list[tuple[float, int]] = []
-    # First pass: mg1 = sigma({v}).  mg2 starts as the (valid) upper bound
-    # mg1 with prev_best = -1, so the exact-shortcut can never fire before
-    # a full pairwise evaluation has refined it.
-    for v in range(n):
-        entries[v] = _Entry(
-            node=v,
-            mg1=float(initial[v]),
-            mg2=float(initial[v]),
-            prev_best=-1,
-            flag=0,
-        )
-        heapq.heappush(heap, (-entries[v].mg1, v))
-
-    iteration = 0
-    last_seed = -1
-    while iteration < k and heap:
-        neg_gain, node = heapq.heappop(heap)
-        entry = entries[node]
-        if -neg_gain != entry.mg1:
-            continue  # stale heap copy
-        if entry.flag == iteration:
-            realized = oracle.add_seed(node)
-            trace.seeds.append(node)
-            trace.gains.append(realized)
-            trace.spreads.append(oracle.current_spread())
-            last_seed = node
-            iteration += 1
-            continue
-        if entry.prev_best == last_seed and entry.flag == iteration - 1:
-            # CELF++ shortcut: mg2 was computed w.r.t. S' = S + {last_seed},
-            # which is exactly the current seed set — no oracle call needed.
-            entry.mg1 = entry.mg2
-            entry.mg2 = entry.mg1  # refined on the next full evaluation
-            entry.prev_best = -1
-        else:
-            front = entries[heap[0][1]].node if heap else -1
-            if front >= 0 and front != node:
-                entry.mg1, entry.mg2 = oracle.marginal_gain_pair(node, front)
-                entry.prev_best = front
-            else:
-                entry.mg1 = oracle.marginal_gain(node)
-                entry.mg2 = entry.mg1
-                entry.prev_best = -1
-            trace.evaluations += 1
-        entry.flag = iteration
-        heapq.heappush(heap, (-entry.mg1, node))
-
-    return trace
+    engine = StepwiseCelfpp(index, k)
+    while engine.step() is not None:
+        pass
+    return engine._trace

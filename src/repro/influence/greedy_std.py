@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -83,13 +84,19 @@ def infmax_std(
     trace = GreedyTrace()
 
     if lazy:
-        _run_celf(oracle, k, trace)
+        _run_celf(oracle, k, trace, oracle.current_spread)
     else:
         _run_plain(oracle, k, trace, record_rankings)
     return trace
 
 
-def _run_celf(oracle: SpreadOracle, k: int, trace: GreedyTrace) -> None:
+def _run_celf(
+    oracle, k: int, trace: GreedyTrace, current_total: Callable[[], float]
+) -> None:
+    """CELF over ``oracle`` (a :class:`SpreadOracle` or any oracle with the
+    same ``initial_gains``/``marginal_gain``/``add_seed`` methods);
+    ``current_total`` reads the running objective recorded in
+    ``trace.spreads`` after each selection."""
     n = oracle.index.num_nodes
     initial = oracle.initial_gains()
     trace.evaluations += n
@@ -106,7 +113,7 @@ def _run_celf(oracle: SpreadOracle, k: int, trace: GreedyTrace) -> None:
             realized = oracle.add_seed(node)
             trace.seeds.append(node)
             trace.gains.append(realized)
-            trace.spreads.append(oracle.current_spread())
+            trace.spreads.append(current_total())
             iteration += 1
         else:
             gain = oracle.marginal_gain(node)

@@ -21,6 +21,30 @@ from repro.influence.maxcover import CoverTrace, greedy_max_cover
 from repro.utils.validation import check_positive_int
 
 
+def _seeded_family(
+    spheres: Mapping[int, SphereOfInfluence] | Mapping[int, np.ndarray],
+) -> dict[int, np.ndarray]:
+    """The cover family of Algorithm 3: each node's sphere members (or raw
+    member array), with the node itself added where missing — a node
+    trivially infects itself, so coverage never under-counts the seeds."""
+    family: dict[int, np.ndarray] = {}
+    for node, sphere in spheres.items():
+        members = sphere.members if isinstance(sphere, SphereOfInfluence) else sphere
+        members = np.asarray(members, dtype=np.int64)
+        node = int(node)
+        if members.size == 0 or not np.any(members == node):
+            members = np.union1d(members, np.array([node], dtype=np.int64))
+        family[node] = members
+    return family
+
+
+def sphere_family(index: CascadeIndex) -> dict[int, np.ndarray]:
+    """Every node's typical-cascade sphere, seed included (Algorithm 3)."""
+    return _seeded_family(
+        TypicalCascadeComputer(index, size_grid_ratio=1.15).compute_all()
+    )
+
+
 def infmax_tc_from_spheres(
     spheres: Mapping[int, SphereOfInfluence] | Mapping[int, np.ndarray],
     k: int,
@@ -35,16 +59,9 @@ def infmax_tc_from_spheres(
     ties (see :func:`~repro.influence.maxcover.greedy_max_cover`).
     """
     check_positive_int(k, "k")
-    family: dict[int, np.ndarray] = {}
-    for node, sphere in spheres.items():
-        members = sphere.members if isinstance(sphere, SphereOfInfluence) else sphere
-        members = np.asarray(members, dtype=np.int64)
-        node = int(node)
-        # Ensure the seed itself is covered.
-        if members.size == 0 or not np.any(members == node):
-            members = np.union1d(members, np.array([node], dtype=np.int64))
-        family[node] = members
-    return greedy_max_cover(family, k, universe_size, priorities=priorities)
+    return greedy_max_cover(
+        _seeded_family(spheres), k, universe_size, priorities=priorities
+    )
 
 
 def infmax_tc(

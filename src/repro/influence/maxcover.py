@@ -2,16 +2,43 @@
 paper's Section 8 sketches as future work.
 
 All variants operate on a family of sets given as ``{key: sorted int array}``
-over a universe ``0..n-1``, and use lazy (CELF-style) gain evaluation —
-coverage is submodular, so cached gains are valid upper bounds.
+over a universe ``0..n-1``; coverage is submodular, so cached gains are
+valid upper bounds.
 
-* :func:`greedy_max_cover` — classical (1 - 1/e) greedy; the engine behind
-  InfMax_TC (Algorithm 3).
+* :class:`StepwiseMaxCover` — classical (1 - 1/e) lazy greedy, the engine
+  behind InfMax_TC (Algorithm 3), RIS and the ``greedy_tc``/``stability``/
+  ``ris`` job models; :func:`greedy_max_cover` runs it to completion.
+* :class:`StepwiseBudgetedCover` — sets carry costs and selection is
+  limited by a budget: the cost-benefit greedy, then the best-single-set
+  fallback that restores a constant-factor guarantee; the engine of the
+  ``cost_aware`` job model, run offline by
+  :func:`budgeted_greedy_max_cover`.
 * :func:`weighted_greedy_max_cover` — elements carry values (the "different
   market segments have different values" scenario of Section 8).
-* :func:`budgeted_greedy_max_cover` — sets carry costs and selection is
-  limited by a budget; runs the cost-benefit greedy and the best-single-set
-  fallback that restores a constant-factor guarantee.
+
+The stepwise engines (these two and
+:class:`~repro.influence.celfpp.StepwiseCelfpp`) share one three-call
+contract, which the job service drives one journalled iteration at a time:
+
+* ``resume(steps)`` — replay a committed step prefix from the journal;
+* ``step()`` — commit exactly one greedy iteration (returns the journal
+  ``step`` record fields, or ``None`` when selection is finished);
+* ``finalize()`` — the terminal ``result`` record fields.
+
+**Resume purity contract.**  At each iteration a lazy greedy selection is
+the unique exact argmax of ``(-gain, tie, rank)`` over the unselected
+candidates given the covered/oracle state — cached heap gains are
+submodular *upper bounds*, so heap internals only change how many
+re-evaluations happen, never which candidate wins, and the node-id rank
+makes the order total.  A selection resumed from a journaled prefix
+therefore re-derives the identical remaining sequence: mark the prefix
+selected, rebuild the heap with every cached gain stale (``stamp``/
+``flag`` = ``-1``, forcing re-evaluation), continue.  RIS RR universes
+are a pure function of ``(rr_seed, graph)``; the cost-aware
+best-single-set fallback is a pure function of ``(family, budget)``
+applied at ``finalize()`` — both resume-safe by construction.
+Deadlines and cancellation only ever *abort* a job; they never feed the
+argmax.
 """
 
 from __future__ import annotations
@@ -57,7 +84,7 @@ def ordered_keys(family: Mapping[Hashable, np.ndarray]) -> list:
     Integer keys (the influence-maximisation case, where keys are node
     ids) sort *numerically*, so coverage ties break by node id — never by
     ``repr`` order (where ``"10" < "2"``) or dict insertion order.  This
-    ordering is part of the resume purity contract of the job service:
+    ordering is part of the resume purity contract (module docstring):
     a selection resumed from a journaled prefix re-derives the exact same
     argmax only because ties are a deterministic function of the keys.
     Mixed or non-integer key families fall back to ``repr`` order.
@@ -69,6 +96,225 @@ def ordered_keys(family: Mapping[Hashable, np.ndarray]) -> list:
     ):
         return sorted(keys, key=int)
     return sorted(keys, key=repr)
+
+
+class _CoverEngine:
+    """State the cover engines share: the validated family in tie-break
+    order, the covered mask and the running :class:`CoverTrace`."""
+
+    def __init__(
+        self,
+        family: Mapping[Hashable, np.ndarray],
+        k: int,
+        universe_size: int,
+    ) -> None:
+        self._family = _validate_family(family, universe_size)
+        self._k = int(k)
+        self._keys = ordered_keys(self._family)
+        self._covered = np.zeros(universe_size, dtype=bool)
+        self._trace = CoverTrace()
+
+    def _gain(self, key: Hashable) -> float:
+        members = np.unique(self._family[key])
+        return float(np.count_nonzero(~self._covered[members]))
+
+    def _commit(self, key: Hashable) -> float:
+        gain = self._gain(key)
+        self._covered[self._family[key]] = True
+        trace = self._trace
+        trace.selected.append(key)
+        trace.gains.append(gain)
+        trace.coverage.append((trace.coverage[-1] if trace.coverage else 0.0) + gain)
+        return gain
+
+    def resume(self, steps: list[dict]) -> None:
+        """Replay a committed prefix; gains are *recomputed*, not trusted."""
+        if self._trace.selected:
+            raise RuntimeError("resume() must run before the first step()")
+        for record in steps:
+            self._commit(int(record["node"]))
+
+    def _run(self) -> CoverTrace:
+        while self.step() is not None:
+            pass
+        return self._trace
+
+    def step(self) -> dict | None:  # pragma: no cover - abstract
+        """Commit one selection; its journal ``step`` fields, or ``None``."""
+        raise NotImplementedError
+
+
+class StepwiseMaxCover(_CoverEngine):
+    """Lazy greedy max-cover, one committed selection per :meth:`step`.
+
+    Heap entries are ``(-gain, tie, rank, stamp)``: ``tie`` is the negated
+    priority (``0.0`` without priorities), ``rank`` the key's position in
+    :func:`ordered_keys`, ``stamp`` the iteration the gain was computed
+    at.  With nothing committed the heap holds exact gains stamped ``0``;
+    after :meth:`resume` every cached gain is a stale bound stamped ``-1``.
+    """
+
+    def __init__(
+        self,
+        family: Mapping[Hashable, np.ndarray],
+        k: int,
+        universe_size: int,
+        priorities: Mapping[Hashable, float] | None = None,
+        estimate_scale: float = 1.0,
+    ) -> None:
+        super().__init__(family, k, universe_size)
+        if priorities is None:
+            self._tie = {key: 0.0 for key in self._keys}
+        else:
+            self._tie = {
+                key: -float(priorities.get(key, 0.0)) for key in self._keys
+            }
+        self._scale = float(estimate_scale)
+        self._heap: list[tuple[float, float, int, int]] | None = None
+
+    def _ensure_heap(self) -> None:
+        if self._heap is not None:
+            return
+        chosen = set(self._trace.selected)
+        # Full set size: the exact gain while nothing is covered, and a
+        # valid upper bound on the current marginal gain otherwise.
+        stamp = -1 if chosen else 0
+        heap = [
+            (-float(np.unique(self._family[key]).size), self._tie[key], rank, stamp)
+            for rank, key in enumerate(self._keys)
+            if key not in chosen
+        ]
+        self._trace.evaluations += len(heap)
+        heapq.heapify(heap)
+        self._heap = heap
+
+    def step(self) -> dict | None:
+        """Commit one selection; its journal ``step`` fields, or ``None``."""
+        iteration = len(self._trace.selected)
+        if iteration >= min(self._k, len(self._keys)):
+            return None
+        self._ensure_heap()
+        heap = self._heap
+        while heap:
+            _, tie, rank, stamp = heapq.heappop(heap)
+            key = self._keys[rank]
+            if stamp == iteration:
+                gain = self._commit(key)
+                return {"iteration": iteration, "node": key, "gain": gain}
+            self._trace.evaluations += 1
+            heapq.heappush(heap, (-self._gain(key), tie, rank, iteration))
+        return None
+
+    def finalize(self) -> dict:
+        """The journal ``result`` fields of the selection so far."""
+        trace = self._trace
+        return {
+            "seeds": list(trace.selected),
+            "gains": list(trace.gains),
+            "coverage": list(trace.coverage),
+            "estimate": trace.coverage[-1] * self._scale if trace.coverage else 0.0,
+        }
+
+
+class StepwiseBudgetedCover(_CoverEngine):
+    """Cost-benefit greedy under a budget, with the best-single fallback.
+
+    Each :meth:`step` commits the affordable candidate with the strictly
+    best gain/cost ratio (ties keep the first key in :func:`ordered_keys`
+    order), until ``k`` sets are selected or nothing affordable adds
+    coverage.  The constant-factor best-single-set comparison happens in
+    :meth:`finalize` — a pure function of ``(family, budget)``, so a
+    resumed job applies it identically.  Sets missing from ``costs`` cost
+    ``1.0``; sets dearer than ``max_cost`` are never selected.
+    """
+
+    def __init__(
+        self,
+        family: Mapping[Hashable, np.ndarray],
+        k: int,
+        budget: float,
+        universe_size: int,
+        costs: Mapping[Hashable, float],
+        max_cost: float | None = None,
+    ) -> None:
+        if budget <= 0:
+            raise ValueError(f"budget must be positive, got {budget}")
+        super().__init__(family, k, universe_size)
+        self._costs = {key: float(costs.get(key, 1.0)) for key in self._keys}
+        for key, cost in self._costs.items():
+            if cost <= 0:
+                raise ValueError(f"cost of set {key!r} must be positive")
+        self._budget = float(budget)
+        self._max_cost = None if max_cost is None else float(max_cost)
+        self._spent = 0.0
+
+    def _affordable(self, key: Hashable, spent: float) -> bool:
+        cost = self._costs[key]
+        if self._max_cost is not None and cost > self._max_cost:
+            return False
+        return spent + cost <= self._budget
+
+    def _commit(self, key: Hashable) -> float:
+        self._spent += self._costs[key]
+        return super()._commit(key)
+
+    def step(self) -> dict | None:
+        """Commit one selection; its journal ``step`` fields, or ``None``."""
+        trace = self._trace
+        iteration = len(trace.selected)
+        if iteration >= self._k:
+            return None
+        chosen = set(trace.selected)
+        best_key = None
+        best_ratio = 0.0
+        for key in self._keys:
+            if key in chosen or not self._affordable(key, self._spent):
+                continue
+            trace.evaluations += 1
+            ratio = self._gain(key) / self._costs[key]
+            if ratio > best_ratio:
+                best_ratio, best_key = ratio, key
+        if best_key is None:
+            return None
+        gain = self._commit(best_key)
+        return {
+            "iteration": iteration,
+            "node": best_key,
+            "gain": gain,
+            "spent": self._spent,
+        }
+
+    def _final(self) -> tuple[CoverTrace, float]:
+        """The returned trace and its spend, after the best-single check."""
+        trace = self._trace
+        total = trace.coverage[-1] if trace.coverage else 0.0
+        best_single = None
+        best_single_gain = 0.0
+        for key in self._keys:
+            if self._affordable(key, 0.0):
+                gain = float(np.unique(self._family[key]).size)
+                if gain > best_single_gain:
+                    best_single, best_single_gain = key, gain
+        if best_single is not None and best_single_gain > total:
+            single = CoverTrace(
+                selected=[best_single],
+                coverage=[best_single_gain],
+                gains=[best_single_gain],
+                evaluations=trace.evaluations + len(self._keys),
+            )
+            return single, self._costs[best_single]
+        return trace, self._spent
+
+    def finalize(self) -> dict:
+        """The journal ``result`` fields, after the best-single check."""
+        trace, spent = self._final()
+        return {
+            "seeds": list(trace.selected),
+            "gains": list(trace.gains),
+            "coverage": list(trace.coverage),
+            "spent": spent,
+            "estimate": trace.coverage[-1] if trace.coverage else 0.0,
+        }
 
 
 def greedy_max_cover(
@@ -87,45 +333,7 @@ def greedy_max_cover(
     priorities, ties break by key order, keeping runs reproducible.
     """
     check_positive_int(k, "k")
-    family = _validate_family(sets, universe_size)
-    covered = np.zeros(universe_size, dtype=bool)
-    trace = CoverTrace()
-
-    keys = ordered_keys(family)
-    key_rank = {key: i for i, key in enumerate(keys)}
-    if priorities is None:
-        tie_rank = {key: 0.0 for key in keys}
-    else:
-        tie_rank = {key: -float(priorities.get(key, 0.0)) for key in keys}
-
-    heap: list[tuple[float, float, int, int]] = []
-    for key in keys:
-        gain = float(np.unique(family[key]).size)
-        heap.append((-gain, tie_rank[key], key_rank[key], 0))
-        trace.evaluations += 1
-    heapq.heapify(heap)
-
-    iteration = 0
-    total = 0.0
-    while iteration < min(k, len(keys)) and heap:
-        neg_gain, tie, rank, stamp = heapq.heappop(heap)
-        key = keys[rank]
-        if stamp == iteration:
-            members = family[key]
-            fresh = members[~covered[members]]
-            covered[np.unique(fresh)] = True
-            gain = float(np.unique(fresh).size)
-            total += gain
-            trace.selected.append(key)
-            trace.gains.append(gain)
-            trace.coverage.append(total)
-            iteration += 1
-        else:
-            members = family[key]
-            gain = float(np.count_nonzero(~covered[np.unique(members)]))
-            trace.evaluations += 1
-            heapq.heappush(heap, (-gain, tie, rank, iteration))
-    return trace
+    return StepwiseMaxCover(sets, k, universe_size, priorities=priorities)._run()
 
 
 def weighted_greedy_max_cover(
@@ -194,60 +402,9 @@ def budgeted_greedy_max_cover(
     returning whichever covers more — the standard constant-factor recipe
     for budgeted maximum coverage.
     """
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
-    family = _validate_family(sets, universe_size)
-    for key in family:
+    engine = StepwiseBudgetedCover(sets, len(sets), budget, universe_size, set_costs)
+    for key in sets:
         if key not in set_costs:
             raise ValueError(f"missing cost for set {key!r}")
-        if set_costs[key] <= 0:
-            raise ValueError(f"cost of set {key!r} must be positive")
-
-    # Cost-benefit greedy.
-    covered = np.zeros(universe_size, dtype=bool)
-    trace = CoverTrace()
-    remaining = dict(family)
-    spent = 0.0
-    total = 0.0
-    while remaining:
-        best_key = None
-        best_ratio = 0.0
-        best_gain = 0.0
-        for key in ordered_keys(remaining):
-            members = remaining[key]
-            cost = float(set_costs[key])
-            if spent + cost > budget:
-                continue
-            uniq = np.unique(members)
-            gain = float(np.count_nonzero(~covered[uniq]))
-            trace.evaluations += 1
-            ratio = gain / cost
-            if ratio > best_ratio:
-                best_ratio, best_key, best_gain = ratio, key, gain
-        if best_key is None or best_gain <= 0:
-            break
-        members = np.unique(remaining.pop(best_key))
-        covered[members] = True
-        spent += float(set_costs[best_key])
-        total += best_gain
-        trace.selected.append(best_key)
-        trace.gains.append(best_gain)
-        trace.coverage.append(total)
-
-    # Best single affordable set (ties keep the first key in tie-break order).
-    best_single = None
-    best_single_gain = 0.0
-    for key in ordered_keys(family):
-        if float(set_costs[key]) <= budget:
-            gain = float(np.unique(family[key]).size)
-            if gain > best_single_gain:
-                best_single, best_single_gain = key, gain
-
-    if best_single is not None and best_single_gain > total:
-        single = CoverTrace()
-        single.selected = [best_single]
-        single.gains = [best_single_gain]
-        single.coverage = [best_single_gain]
-        single.evaluations = trace.evaluations + len(family)
-        return single
-    return trace
+    engine._run()
+    return engine._final()[0]

@@ -116,6 +116,25 @@ def estimate_num_rr_sets(
     return int(np.clip(np.ceil(theta), 1, max_rr_sets))
 
 
+def rr_family(
+    graph: ProbabilisticDigraph, num_rr_sets: int, seed: SeedLike
+) -> dict[int, np.ndarray]:
+    """The RIS coverage family — a pure function of ``(seed, graph)``.
+
+    Each RR set becomes an element of a coverage universe
+    ``0..num_rr_sets-1``; node ``v``'s set is the ids of the RR sets
+    containing ``v``.
+    """
+    n = graph.num_nodes
+    rng = derive_rng(seed)
+    member_lists: dict[int, list[int]] = {v: [] for v in range(n)}
+    for rr_id in range(num_rr_sets):
+        target = int(rng.integers(0, n))
+        for v in sample_rr_set(graph, target, rng):
+            member_lists[int(v)].append(rr_id)
+    return {v: np.asarray(ids, dtype=np.int64) for v, ids in member_lists.items()}
+
+
 def infmax_ris(
     graph: ProbabilisticDigraph,
     k: int,
@@ -128,20 +147,7 @@ def infmax_ris(
     n = graph.num_nodes
     if k > n:
         raise ValueError(f"k={k} exceeds the number of nodes {n}")
-    rng = derive_rng(seed)
-
-    # Each RR set becomes an element of a coverage universe; node v's
-    # "set" is the collection of RR-set ids containing v.
-    member_lists: dict[int, list[int]] = {v: [] for v in range(n)}
-    for rr_id in range(num_rr_sets):
-        target = int(rng.integers(0, n))
-        for v in sample_rr_set(graph, target, rng):
-            member_lists[int(v)].append(rr_id)
-
-    family = {
-        v: np.asarray(ids, dtype=np.int64) for v, ids in member_lists.items()
-    }
-    trace = greedy_max_cover(family, k, num_rr_sets)
+    trace = greedy_max_cover(rr_family(graph, num_rr_sets, seed), k, num_rr_sets)
     scale = n / num_rr_sets
     return RisResult(
         seeds=[int(v) for v in trace.selected],

@@ -14,12 +14,10 @@ typical cascades — the pairing the paper's conclusions propose.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.cascades.index import CascadeIndex
-from repro.influence.greedy_std import GreedyTrace
+from repro.influence.greedy_std import GreedyTrace, _run_celf
 from repro.utils.validation import check_node, check_positive_int
 
 
@@ -121,23 +119,5 @@ def infmax_std_weighted(
         raise ValueError(f"k={k} exceeds the number of nodes {n}")
     oracle = WeightedSpreadOracle(index, values)
     trace = GreedyTrace()
-
-    initial = oracle.initial_gains()
-    trace.evaluations += n
-    heap = [(-float(initial[v]), v, 0) for v in range(n)]
-    heapq.heapify(heap)
-
-    iteration = 0
-    while iteration < k and heap:
-        neg_gain, node, stamp = heapq.heappop(heap)
-        if stamp == iteration:
-            realized = oracle.add_seed(node)
-            trace.seeds.append(node)
-            trace.gains.append(realized)
-            trace.spreads.append(oracle.current_value())
-            iteration += 1
-        else:
-            gain = oracle.marginal_gain(node)
-            trace.evaluations += 1
-            heapq.heappush(heap, (-gain, node, iteration))
+    _run_celf(oracle, k, trace, oracle.current_value)
     return trace

@@ -4,10 +4,12 @@ The subsystem in one breath: a :class:`~repro.jobs.manager.JobManager`
 admits validated :class:`~repro.jobs.spec.JobSpec` submissions into
 per-job :class:`~repro.jobs.journal.JobJournal` directories, schedules
 them onto supervised workers (:mod:`repro.jobs.worker`) that drive the
-checkpointable selection engines of :mod:`repro.jobs.select` one
-journalled greedy iteration at a time, and — because each selection is a
-pure function of ``(spec, index)`` with deterministic node-id tie-breaks
-— resumes any crashed job bit-identically from its last committed step.
+stepwise selection engines of :mod:`repro.influence` (wired to a spec by
+:mod:`repro.jobs.select`) one journalled greedy iteration at a time, and
+— because each selection is a pure function of ``(spec, index)`` with
+deterministic node-id tie-breaks (the resume purity contract of
+:mod:`repro.influence.maxcover`) — resumes any crashed job
+bit-identically from its last committed step.
 HTTP wiring lives in :mod:`repro.serve.handlers`; client-visible errors
 in :mod:`repro.jobs.errors`.
 """

@@ -13,9 +13,9 @@ it.  The record sequence is the state machine:
     a worker (re)started — carries the attempt number;
 ``step``
     one committed greedy iteration: ``(iteration, node, gain, spent)``.
-    The resume purity contract makes this the checkpoint: a selection
-    restarted from any committed step prefix re-derives the identical
-    remaining sequence;
+    The resume purity contract (:mod:`repro.influence.maxcover`) makes
+    this the checkpoint: a selection restarted from any committed step
+    prefix re-derives the identical remaining sequence;
 ``result`` / ``cancelled`` / ``failed``
     terminal records (``failed`` carries ``retryable``; a retryable
     failure may be followed by another ``attempt``).

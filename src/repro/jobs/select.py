@@ -1,379 +1,22 @@
-"""Checkpointable stepwise selection engines behind the job service.
+"""Spec → engine wiring for the job service.
 
-Every job model is driven through the same three-call contract:
-
-* ``resume(steps)`` — replay a committed step prefix from the journal;
-* ``step()`` — commit exactly one greedy iteration (returns the journal
-  ``step`` record fields, or ``None`` when selection is finished);
-* ``finalize()`` — the terminal ``result`` record fields.
-
-**Resume purity contract.**  At each iteration a lazy greedy selection is
-the unique exact argmax of ``(-gain, tie, rank)`` over the unselected
-candidates given the covered/oracle state — cached heap gains are
-submodular *upper bounds*, so heap internals only change how many
-re-evaluations happen, never which candidate wins, and the node-id rank
-makes the order total.  A selection resumed from a journaled prefix
-therefore re-derives the identical remaining sequence: mark the prefix
-selected, rebuild the heap with every cached gain stale (``stamp``/
-``flag`` = ``-1``, forcing re-evaluation), continue.  RIS RR universes
-are a pure function of ``(rr_seed, graph)``; the cost-aware
-best-single-set fallback is a pure function of ``(family, budget)``
-applied at :meth:`finalize` — both resume-safe by construction.
-Deadlines and cancellation only ever *abort* a job; they never feed the
-argmax.
+Each job model selects with one of the stepwise engines of
+:mod:`repro.influence` — :class:`~repro.influence.maxcover.StepwiseMaxCover`,
+:class:`~repro.influence.maxcover.StepwiseBudgetedCover` or
+:class:`~repro.influence.celfpp.StepwiseCelfpp` — the same engines the
+offline functions run to completion.  Their three-call contract and the
+resume purity contract that makes crash-resume bit-identical are
+documented in :mod:`repro.influence.maxcover`.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Mapping
-
-import numpy as np
-
 from repro.cascades.index import CascadeIndex
-from repro.core.typical_cascade import TypicalCascadeComputer
-from repro.influence.celfpp import _Entry
-from repro.influence.maxcover import _validate_family, ordered_keys
-from repro.influence.ris import sample_rr_set
-from repro.influence.spread import SpreadOracle
+from repro.influence.celfpp import StepwiseCelfpp
+from repro.influence.greedy_tc import sphere_family
+from repro.influence.maxcover import StepwiseBudgetedCover, StepwiseMaxCover
+from repro.influence.ris import rr_family
 from repro.jobs.spec import JobSpec
-from repro.utils.rng import SeedLike, derive_rng
-
-
-class StepwiseMaxCover:
-    """Lazy greedy max-cover, one committed selection per :meth:`step`.
-
-    Mirrors :func:`repro.influence.maxcover.greedy_max_cover` selection
-    for selection (same heap order ``(-gain, tie, rank)``, same tie
-    semantics); only the evaluation schedule differs, which the purity
-    contract proves is unobservable in the output.
-    """
-
-    def __init__(
-        self,
-        family: Mapping[int, np.ndarray],
-        k: int,
-        universe_size: int,
-        priorities: Mapping[int, float] | None = None,
-        estimate_scale: float = 1.0,
-    ) -> None:
-        self._family = _validate_family(family, universe_size)
-        self._k = int(k)
-        self._keys = ordered_keys(self._family)
-        self._rank = {key: i for i, key in enumerate(self._keys)}
-        if priorities is None:
-            self._tie = {key: 0.0 for key in self._keys}
-        else:
-            self._tie = {
-                key: -float(priorities.get(key, 0.0)) for key in self._keys
-            }
-        self._covered = np.zeros(universe_size, dtype=bool)
-        self._scale = float(estimate_scale)
-        self._selected: list[int] = []
-        self._gains: list[float] = []
-        self._coverage: list[float] = []
-        self._heap: list[tuple[float, float, int, int]] | None = None
-
-    def _commit(self, key: int) -> float:
-        members = self._family[key]
-        fresh = members[~self._covered[members]]
-        self._covered[np.unique(fresh)] = True
-        gain = float(np.unique(fresh).size)
-        total = (self._coverage[-1] if self._coverage else 0.0) + gain
-        self._selected.append(int(key))
-        self._gains.append(gain)
-        self._coverage.append(total)
-        return gain
-
-    def resume(self, steps: list[dict]) -> None:
-        """Replay a committed prefix; gains are *recomputed*, not trusted."""
-        if self._heap is not None or self._selected:
-            raise RuntimeError("resume() must run before the first step()")
-        for record in steps:
-            self._commit(int(record["node"]))
-
-    def _ensure_heap(self) -> None:
-        if self._heap is not None:
-            return
-        chosen = set(self._selected)
-        heap = []
-        for key in self._keys:
-            if key in chosen:
-                continue
-            # Full set size: a valid upper bound on the current marginal
-            # gain whatever is covered.  stamp=-1 forces re-evaluation, so
-            # a resumed heap and a live heap select identically.
-            bound = float(np.unique(self._family[key]).size)
-            heap.append((-bound, self._tie[key], self._rank[key], -1))
-        heapq.heapify(heap)
-        self._heap = heap
-
-    def step(self) -> dict | None:
-        if len(self._selected) >= min(self._k, len(self._keys)):
-            return None
-        self._ensure_heap()
-        iteration = len(self._selected)
-        heap = self._heap
-        while heap:
-            neg_gain, tie, rank, stamp = heapq.heappop(heap)
-            key = self._keys[rank]
-            if stamp == iteration:
-                gain = self._commit(key)
-                return {"iteration": iteration, "node": int(key), "gain": gain}
-            members = self._family[key]
-            gain = float(np.count_nonzero(~self._covered[np.unique(members)]))
-            heapq.heappush(heap, (-gain, tie, rank, iteration))
-        return None
-
-    def finalize(self) -> dict:
-        return {
-            "seeds": list(self._selected),
-            "gains": list(self._gains),
-            "coverage": list(self._coverage),
-            "estimate": (
-                self._coverage[-1] * self._scale if self._coverage else 0.0
-            ),
-        }
-
-
-class StepwiseCelfpp:
-    """CELF++ over the index's sampled worlds, one selection per step.
-
-    Mirrors :func:`repro.influence.celfpp.infmax_celfpp`; the heap ties by
-    ``(-mg1, node_id)``, so equal exact gains always select the smallest
-    node id — the determinism the resume contract needs.
-    """
-
-    def __init__(self, index: CascadeIndex, k: int) -> None:
-        self._oracle = SpreadOracle(index)
-        self._k = min(int(k), index.num_nodes)
-        self._gains: list[float] = []
-        self._spreads: list[float] = []
-        self._last_seed = -1
-        self._entries: dict[int, _Entry] | None = None
-        self._heap: list[tuple[float, int]] | None = None
-
-    def resume(self, steps: list[dict]) -> None:
-        if self._heap is not None or self._oracle.seeds:
-            raise RuntimeError("resume() must run before the first step()")
-        for record in steps:
-            node = int(record["node"])
-            realized = self._oracle.add_seed(node)
-            self._gains.append(realized)
-            self._spreads.append(self._oracle.current_spread())
-            self._last_seed = node
-
-    def _ensure_heap(self) -> None:
-        if self._heap is not None:
-            return
-        initial = self._oracle.initial_gains()
-        chosen = set(self._oracle.seeds)
-        self._entries = {}
-        heap: list[tuple[float, int]] = []
-        for v in range(self._oracle.index.num_nodes):
-            if v in chosen:
-                continue
-            # sigma({v}) is an upper bound on gain(v | S) by submodularity;
-            # flag=-1 forces a re-evaluation before any selection.
-            self._entries[v] = _Entry(
-                node=v,
-                mg1=float(initial[v]),
-                mg2=float(initial[v]),
-                prev_best=-1,
-                flag=-1,
-            )
-            heapq.heappush(heap, (-self._entries[v].mg1, v))
-        self._heap = heap
-
-    def step(self) -> dict | None:
-        if len(self._gains) >= self._k:
-            return None
-        self._ensure_heap()
-        heap, entries = self._heap, self._entries
-        iteration = len(self._gains)
-        chosen = set(self._oracle.seeds)
-        while heap:
-            neg_gain, node = heapq.heappop(heap)
-            if node in chosen:
-                continue  # duplicate heap copy of an already-selected node
-            entry = entries[node]
-            if -neg_gain != entry.mg1:
-                continue  # stale heap copy
-            if entry.flag == iteration:
-                realized = self._oracle.add_seed(node)
-                self._gains.append(realized)
-                self._spreads.append(self._oracle.current_spread())
-                self._last_seed = node
-                return {
-                    "iteration": iteration,
-                    "node": int(node),
-                    "gain": realized,
-                }
-            if entry.prev_best == self._last_seed and entry.flag == iteration - 1:
-                # CELF++ shortcut: mg2 is exact w.r.t. the current seed set.
-                entry.mg1 = entry.mg2
-                entry.prev_best = -1
-            else:
-                front = entries[heap[0][1]].node if heap else -1
-                if front >= 0 and front != node and front not in chosen:
-                    entry.mg1, entry.mg2 = self._oracle.marginal_gain_pair(
-                        node, front
-                    )
-                    entry.prev_best = front
-                else:
-                    entry.mg1 = self._oracle.marginal_gain(node)
-                    entry.mg2 = entry.mg1
-                    entry.prev_best = -1
-            entry.flag = iteration
-            heapq.heappush(heap, (-entry.mg1, node))
-        return None
-
-    def finalize(self) -> dict:
-        return {
-            "seeds": list(self._oracle.seeds),
-            "gains": list(self._gains),
-            "coverage": list(self._spreads),
-            "estimate": self._spreads[-1] if self._spreads else 0.0,
-        }
-
-
-class StepwiseBudgetedCover:
-    """Cost-benefit greedy under a budget, with the best-single fallback.
-
-    Mirrors :func:`repro.influence.maxcover.budgeted_greedy_max_cover`:
-    each :meth:`step` commits the affordable candidate with the strictly
-    best gain/cost ratio (ties keep the first key in node-id order); the
-    constant-factor best-single-set comparison happens in
-    :meth:`finalize` — a pure function of ``(family, budget)``, so a
-    resumed job applies it identically.
-    """
-
-    def __init__(
-        self,
-        family: Mapping[int, np.ndarray],
-        budget: float,
-        universe_size: int,
-        costs: Mapping[int, float],
-        max_cost: float | None = None,
-    ) -> None:
-        if budget <= 0:
-            raise ValueError(f"budget must be positive, got {budget}")
-        self._family = _validate_family(family, universe_size)
-        self._keys = ordered_keys(self._family)
-        self._costs = {key: float(costs.get(key, 1.0)) for key in self._keys}
-        for key, cost in self._costs.items():
-            if cost <= 0:
-                raise ValueError(f"cost of node {key!r} must be positive")
-        self._budget = float(budget)
-        self._max_cost = None if max_cost is None else float(max_cost)
-        self._covered = np.zeros(universe_size, dtype=bool)
-        self._remaining = set(self._keys)
-        self._selected: list[int] = []
-        self._gains: list[float] = []
-        self._coverage: list[float] = []
-        self._spent = 0.0
-
-    def _affordable(self, key: int, spent: float) -> bool:
-        cost = self._costs[key]
-        if self._max_cost is not None and cost > self._max_cost:
-            return False
-        return spent + cost <= self._budget
-
-    def resume(self, steps: list[dict]) -> None:
-        if self._selected:
-            raise RuntimeError("resume() must run before the first step()")
-        for record in steps:
-            self._commit(int(record["node"]))
-
-    def _commit(self, key: int) -> tuple[float, float]:
-        members = np.unique(self._family[key])
-        gain = float(np.count_nonzero(~self._covered[members]))
-        self._covered[members] = True
-        self._spent += self._costs[key]
-        total = (self._coverage[-1] if self._coverage else 0.0) + gain
-        self._remaining.discard(key)
-        self._selected.append(int(key))
-        self._gains.append(gain)
-        self._coverage.append(total)
-        return gain, self._spent
-
-    def step(self) -> dict | None:
-        best_key = None
-        best_ratio = 0.0
-        for key in self._keys:
-            if key not in self._remaining or not self._affordable(key, self._spent):
-                continue
-            members = np.unique(self._family[key])
-            gain = float(np.count_nonzero(~self._covered[members]))
-            ratio = gain / self._costs[key]
-            if ratio > best_ratio:
-                best_ratio, best_key = ratio, key
-        if best_key is None:
-            return None
-        iteration = len(self._selected)
-        gain, spent = self._commit(best_key)
-        return {
-            "iteration": iteration,
-            "node": int(best_key),
-            "gain": gain,
-            "spent": spent,
-        }
-
-    def finalize(self) -> dict:
-        total = self._coverage[-1] if self._coverage else 0.0
-        best_single = None
-        best_single_gain = 0.0
-        for key in self._keys:
-            if self._affordable(key, 0.0):
-                gain = float(np.unique(self._family[key]).size)
-                if gain > best_single_gain:
-                    best_single, best_single_gain = key, gain
-        if best_single is not None and best_single_gain > total:
-            return {
-                "seeds": [int(best_single)],
-                "gains": [best_single_gain],
-                "coverage": [best_single_gain],
-                "spent": self._costs[best_single],
-                "estimate": best_single_gain,
-            }
-        return {
-            "seeds": list(self._selected),
-            "gains": list(self._gains),
-            "coverage": list(self._coverage),
-            "spent": self._spent,
-            "estimate": total,
-        }
-
-
-# -- model wiring --------------------------------------------------------------
-
-
-def sphere_family(index: CascadeIndex) -> dict[int, np.ndarray]:
-    """Every node's typical-cascade sphere, seed included (Algorithm 3)."""
-    computer = TypicalCascadeComputer(index, size_grid_ratio=1.15)
-    family: dict[int, np.ndarray] = {}
-    for node, sphere in computer.compute_all().items():
-        members = np.asarray(sphere.members, dtype=np.int64)
-        node = int(node)
-        if members.size == 0 or not np.any(members == node):
-            members = np.union1d(members, np.array([node], dtype=np.int64))
-        family[node] = members
-    return family
-
-
-def rr_family(
-    index: CascadeIndex, num_rr_sets: int, rr_seed: SeedLike
-) -> dict[int, np.ndarray]:
-    """The RIS coverage family — a pure function of ``(rr_seed, graph)``."""
-    graph = index.graph
-    n = graph.num_nodes
-    rng = derive_rng(rr_seed)
-    member_lists: dict[int, list[int]] = {v: [] for v in range(n)}
-    for rr_id in range(num_rr_sets):
-        target = int(rng.integers(0, n))
-        for v in sample_rr_set(graph, target, rng):
-            member_lists[int(v)].append(rr_id)
-    return {v: np.asarray(ids, dtype=np.int64) for v, ids in member_lists.items()}
 
 
 def build_selection(spec: JobSpec, index: CascadeIndex):
@@ -386,7 +29,7 @@ def build_selection(spec: JobSpec, index: CascadeIndex):
     if spec.model == "celfpp":
         return StepwiseCelfpp(index, spec.k)
     if spec.model == "ris":
-        family = rr_family(index, spec.num_rr_sets, spec.rr_seed)
+        family = rr_family(index.graph, spec.num_rr_sets, spec.rr_seed)
         return StepwiseMaxCover(
             family,
             spec.k,
@@ -397,6 +40,7 @@ def build_selection(spec: JobSpec, index: CascadeIndex):
     if spec.model == "cost_aware":
         return StepwiseBudgetedCover(
             family,
+            spec.k,
             spec.budget,
             n,
             dict(spec.node_costs),

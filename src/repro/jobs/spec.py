@@ -2,7 +2,7 @@
 
 A :class:`JobSpec` is the *pure input* of a job: together with the served
 index's content digest it fully determines the selection sequence (the
-resume purity contract — see :mod:`repro.jobs.select`).  Everything a
+resume purity contract — see :mod:`repro.influence.maxcover`).  Everything a
 client can pass is validated here into clean
 :class:`~repro.serve.errors.BadRequest` refusals, so no malformed payload
 reaches a worker, and the canonical JSON form feeds both the journal's

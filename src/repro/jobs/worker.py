@@ -14,8 +14,9 @@ Runnable two ways with identical semantics:
 
 The attempt protocol, same both ways: recover the journal (truncating a
 torn tail), journal an ``attempt`` record, rebuild the selection from the
-committed ``step`` prefix (resume purity contract — bit-identical to an
-uninterrupted run), then loop: honour cancellation (the ``cancel`` marker
+committed ``step`` prefix (the resume purity contract of
+:mod:`repro.influence.maxcover` — bit-identical to an uninterrupted run),
+then loop: honour cancellation (the ``cancel`` marker
 file, checked at step boundaries) and the wall-clock deadline, commit one
 ``step`` record per iteration, and finish with a ``result`` record.
 Fault sites: ``jobs.step`` fires before each iteration, ``jobs.result``

@@ -7,7 +7,15 @@ digests of every byte that path produces are pinned in
 ``golden/store_digests.json``, so a refactor of the writer, the partitioner
 or the query path that changes a single byte of output fails here.
 
-Regenerate (only for an intended format change) with::
+The seed selections over the same index are pinned separately in
+``golden/selections.json``: the ``run_to_completion`` result of every job
+model, the offline traces (evaluation counts included) of InfMax_TC,
+CELF++, RIS and the budgeted greedy, and the sha256 of every member array
+of the sphere family the cover models select from.  Store bytes and
+selections are kept apart so a change to the store layout that leaves
+every answer alone shows up in one file only.
+
+Regenerate (only for an intended format or selection change) with::
 
     PYTHONPATH=src python -m tests.store.test_golden
 """
@@ -22,7 +30,12 @@ from pathlib import Path
 from repro.cascades.index import CascadeIndex
 from repro.core.typical_cascade import TypicalCascadeComputer
 from repro.graph.generators import powerlaw_outdegree_digraph
+from repro.influence.celfpp import infmax_celfpp
 from repro.influence.greedy_tc import infmax_tc
+from repro.influence.maxcover import budgeted_greedy_max_cover
+from repro.influence.ris import infmax_ris
+from repro.jobs.select import run_to_completion, sphere_family
+from repro.jobs.spec import JobSpec
 from repro.problearn.assign import assign_fixed
 from repro.serve.query import canonical_json, sphere_payload
 from repro.shard.partition import PARTITION_NAME, partition_store
@@ -30,22 +43,45 @@ from repro.store.fingerprint import digest_file
 from repro.store.format import read_header
 
 GOLDEN = Path(__file__).parent / "golden" / "store_digests.json"
+SELECTIONS = Path(__file__).parent / "golden" / "selections.json"
 
 NUM_NODES = 80
 NUM_WORLDS = 12
 WORLD_SEED = 20160626
 INFMAX_K = 5
 
+#: One spec per job model.  The ``cost_aware`` budget binds long before
+#: ``k`` does (5 unit-cost seeds at most, ``k`` = 20): results where ``k``
+#: binds first changed when the budgeted engine learned to honour ``k``,
+#: so only a budget-bound spec pins the same answer on both sides of that
+#: fix.
+JOB_SPECS = {
+    "greedy_tc": {"model": "greedy_tc", "k": 8},
+    "stability": {"model": "stability", "k": 8},
+    "celfpp": {"model": "celfpp", "k": 8},
+    "ris": {"model": "ris", "k": 6, "num_rr_sets": 400, "rr_seed": 42},
+    "cost_aware": {
+        "model": "cost_aware",
+        "k": 20,
+        "budget": 5.0,
+        "node_costs": {"73": 2.5},
+    },
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def golden_digests(workdir: Path) -> dict:
-    """Every pinned digest, recomputed from scratch under ``workdir``."""
-    graph = assign_fixed(
+def _graph():
+    return assign_fixed(
         powerlaw_outdegree_digraph(NUM_NODES, mean_degree=4.0, seed=5), 0.2
     )
+
+
+def golden_digests(workdir: Path) -> dict:
+    """Every pinned digest, recomputed from scratch under ``workdir``."""
+    graph = _graph()
     store = workdir / "idx"
     CascadeIndex.build(graph, NUM_WORLDS, seed=WORLD_SEED).save(
         store, format="store"
@@ -72,6 +108,63 @@ def golden_digests(workdir: Path) -> dict:
     }
 
 
+def _cover(trace) -> dict:
+    return {
+        "selected": [int(v) for v in trace.selected],
+        "gains": list(trace.gains),
+        "coverage": list(trace.coverage),
+        "evaluations": trace.evaluations,
+    }
+
+
+def golden_selections() -> dict:
+    """Every job model's result and every offline greedy trace."""
+    graph = _graph()
+    index = CascadeIndex.build(graph, NUM_WORLDS, seed=WORLD_SEED)
+    jobs = {
+        model: run_to_completion(
+            JobSpec.from_payload(payload, NUM_NODES), index
+        )
+        for model, payload in JOB_SPECS.items()
+    }
+    family = sphere_family(index)
+    tc, _ = infmax_tc(index, 8)
+    celfpp = infmax_celfpp(index, 8)
+    ris = infmax_ris(graph, 6, num_rr_sets=400, seed=42)
+    # Cost-benefit greedy wins: node 73 (the largest sphere) is priced out
+    # of the ratio race.
+    greedy_costs = {v: 1.0 for v in family}
+    greedy_costs[73] = 2.5
+    # Best-single fallback wins: after node 77 nothing else is affordable,
+    # and node 73's sphere alone covers more.
+    single_costs = {v: 2.5 for v in family}
+    single_costs.update({73: 3.0, 77: 1.0})
+    return {
+        "jobs": jobs,
+        "sphere_family": [
+            _sha256(family[node].astype("<i8").tobytes())
+            for node in range(NUM_NODES)
+        ],
+        "infmax_tc": _cover(tc),
+        "infmax_celfpp": {
+            "seeds": [int(v) for v in celfpp.seeds],
+            "gains": list(celfpp.gains),
+            "spreads": list(celfpp.spreads),
+            "evaluations": celfpp.evaluations,
+        },
+        "infmax_ris": {
+            "seeds": list(ris.seeds),
+            "estimated_spreads": list(ris.estimated_spreads),
+        },
+        "budgeted_greedy": _cover(
+            budgeted_greedy_max_cover(family, 5.0, NUM_NODES, greedy_costs)
+        ),
+        "budgeted_single": _cover(
+            budgeted_greedy_max_cover(family, 3.0, NUM_NODES, single_costs)
+        ),
+    }
+
+
 def test_store_partition_and_answers_match_golden(tmp_path):
     expected = json.loads(GOLDEN.read_text())
     actual = golden_digests(tmp_path)
@@ -82,9 +175,27 @@ def test_store_partition_and_answers_match_golden(tmp_path):
     assert actual["greedy_tc_seeds"] == expected["greedy_tc_seeds"]
 
 
+def test_selections_match_golden():
+    expected = json.loads(SELECTIONS.read_text())
+    actual = golden_selections()
+    assert actual["sphere_family"] == expected["sphere_family"]
+    for model in JOB_SPECS:
+        assert actual["jobs"][model] == expected["jobs"][model], model
+    for name in (
+        "infmax_tc",
+        "infmax_celfpp",
+        "infmax_ris",
+        "budgeted_greedy",
+        "budgeted_single",
+    ):
+        assert actual[name] == expected[name], name
+    assert len(actual["budgeted_single"]["selected"]) == 1
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         digests = golden_digests(Path(scratch))
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    for path, payload in ((GOLDEN, digests), (SELECTIONS, golden_selections())):
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}")
