@@ -132,7 +132,7 @@ def test_bench_million_edge_ingest_memory(big_edge_file, tmp_path, save_result):
 
 
 def test_bench_fixture_ingest_throughput(benchmark, tmp_path, save_result):
-    """Offline-fixture ingest end to end: the BENCH_etl.json quantities."""
+    """Offline-fixture ingest end to end: arcs/s and total wall-clock."""
     from repro.data import ingest
 
     counter = iter(range(1_000_000))

@@ -24,8 +24,9 @@ hammering throughout, and verifies the durability contract end to end:
    settles ``failed-permanent`` and frees its slot;
 6. **live traffic unharmed** — the concurrent ``/sphere`` hammer saw
    only byte-correct responses across every chaos phase;
-7. **loadgen smoke** — ``scripts/loadgen.py --jobs`` drives the tier and
-   writes a well-formed ``BENCH_jobs.json``;
+7. **open-loop smoke** — perfbench's open-loop generator submits a mix
+   of every job model at 4/s; every submit is answered without error
+   and every accepted job drains to a terminal state;
 8. **graceful drain** — SIGTERM exits 0.
 
 Run from the repository root::
@@ -36,25 +37,26 @@ Run from the repository root::
 from __future__ import annotations
 
 import json
-import signal
 import subprocess
 import sys
 import tempfile
-import threading
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from check_serve import check, fetch, metric_value, subprocess_env  # noqa: E402
+import numpy as np
 
-from repro.cascades.index import CascadeIndex  # noqa: E402
-from repro.core.typical_cascade import TypicalCascadeComputer  # noqa: E402
-from repro.graph.generators import powerlaw_outdegree_digraph  # noqa: E402
-from repro.jobs.select import run_to_completion  # noqa: E402
-from repro.jobs.spec import JobSpec  # noqa: E402
-from repro.problearn.assign import assign_fixed  # noqa: E402
-from repro.runtime.faults import ENV_VAR, FaultPlan, FaultSpec  # noqa: E402
-from repro.serve import query as q  # noqa: E402
+from gatelib import (
+    Hammer, Op, check, drain, fetch, get_json, metric_value, metrics_text,
+    open_loop, poisson_schedule, reference_bodies, start_server,
+    subprocess_env, until,
+)
+
+from repro.cascades.index import CascadeIndex
+from repro.graph.generators import powerlaw_outdegree_digraph
+from repro.jobs.select import run_to_completion
+from repro.jobs.spec import JobSpec
+from repro.problearn.assign import assign_fixed
+from repro.runtime.faults import FaultPlan, FaultSpec
+from repro.serve import query as q
 
 SAMPLES = 8
 SEED = 20160626
@@ -69,6 +71,18 @@ SLOW_A, SLOW_B, QUEUED_JOB = "j000003", "j000004", "j000005"
 # j000006 is the freed-slot probe of phase 3, j000007 the keyed submit of
 # phase 4 — ids are sequential, so the deadline phase gets j000008.
 DEADLINE_JOB = "j000008"
+
+#: The smoke phase's submissions, one of every job model the service
+#: runs, small enough to drain: (payload, weight).
+JOB_MIX = (
+    ({"model": "celfpp", "k": 3}, 3),
+    ({"model": "greedy_tc", "k": 3}, 3),
+    ({"model": "stability", "k": 3}, 2),
+    ({"model": "ris", "k": 3, "num_rr_sets": 200, "rr_seed": 7}, 2),
+)
+#: Submits in the smoke phase and their Poisson arrival rate (per second).
+SUBMIT_COUNT = 8
+SUBMIT_RATE = 4.0
 
 
 def build_store(tmp: Path) -> Path:
@@ -88,78 +102,54 @@ def reference_result(store: Path, payload: dict) -> bytes:
     return q.canonical_json(run_to_completion(spec, index))
 
 
-def sphere_references(store: Path) -> dict[int, bytes]:
-    index = CascadeIndex.load(store)
-    computer = TypicalCascadeComputer(index, size_grid_ratio=1.15)
-    return {
-        node: q.canonical_json(q.sphere_payload(node, computer.compute(node)))
-        for node in range(NUM_NODES)
-    }
-
-
-def wait_job(base: str, job_id: str, timeout: float = 120.0) -> dict:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        status, _, body = fetch(base, f"/jobs/{job_id}")
-        view = json.loads(body)
-        if status == 200 and view["state"] in TERMINAL:
-            return view
-        time.sleep(0.05)
-    raise AssertionError(f"job {job_id} never settled within {timeout:g}s")
-
-
-def wait_gauges_zero(base: str, timeout: float = 15.0) -> bool:
-    """Poll /metrics until both job gauges read zero.
-
-    The journal turns terminal a beat before the manager's drive loop
-    observes the outcome and settles the gauges, so a single read races.
-    """
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        _, _, body = fetch(base, "/metrics")
-        text = body.decode()
-        if (
-            metric_value(text, "repro_jobs_running") == 0
-            and metric_value(text, "repro_jobs_queued") == 0
-        ):
-            return True
-        time.sleep(0.05)
-    return False
-
-
-def wait_steps(base: str, job_id: str, steps: int, timeout: float = 60.0) -> dict:
-    """Poll until the job has committed >= ``steps`` and has a worker pid."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        status, _, body = fetch(base, f"/jobs/{job_id}")
-        view = json.loads(body)
-        if (
-            status == 200
-            and view["steps"] >= steps
-            and view.get("worker_pid")
-            and view["state"] == "running"
-        ):
-            return view
-        time.sleep(0.02)
-    raise AssertionError(
-        f"job {job_id} never reached {steps} committed running steps"
+def settled(base: str, job_id: str, timeout: float = 120.0) -> dict:
+    """The job's view once it reaches a terminal state."""
+    view = until(
+        lambda: (view := get_json(base, f"/jobs/{job_id}")).get("state")
+        in TERMINAL and view,
+        timeout=timeout,
     )
+    if view is None:
+        raise AssertionError(f"job {job_id} never settled within {timeout:g}s")
+    return view
 
 
-def hammer(base: str, reference: dict[int, bytes], stop: threading.Event,
-           failures: list) -> None:
-    """Live read traffic: every /sphere response must be correct bytes."""
-    while not stop.is_set():
-        for node in range(0, NUM_NODES, 3):
-            if stop.is_set():
-                return
-            try:
-                status, _, body = fetch(base, f"/sphere/{node}")
-            except Exception as exc:
-                failures.append((node, "transport", repr(exc)))
-                continue
-            if not (status == 200 and body == reference[node]):
-                failures.append((node, status, body[:160]))
+def gauges_zero(base: str) -> bool:
+    """Both job gauges read zero (polled: the journal turns terminal a
+    beat before the manager's drive loop settles the gauges)."""
+    return bool(until(
+        lambda: all(
+            metric_value(metrics_text(base), gauge) == 0
+            for gauge in ("repro_jobs_running", "repro_jobs_queued")
+        ),
+        timeout=15.0,
+    ))
+
+
+def submit_smoke(base: str) -> list[tuple[str, dict]]:
+    """:data:`SUBMIT_COUNT` open-loop submits of the :data:`JOB_MIX` at
+    :data:`SUBMIT_RATE`/s, each with its own idempotency key; checks every
+    answer and returns the accepted (job id, payload) pairs."""
+    rng = np.random.default_rng(SEED)
+    weights = np.array([weight for _, weight in JOB_MIX], dtype=float)
+    ops = []
+    for i, pick in enumerate(rng.choice(len(JOB_MIX), SUBMIT_COUNT,
+                                        p=weights / weights.sum())):
+        payload = dict(JOB_MIX[pick][0], idempotency_key=f"smoke-{i}")
+        ops.append(Op("POST", "/jobs/infmax", q.canonical_json(payload)))
+    phase = open_loop(base, ops, poisson_schedule(rng, SUBMIT_COUNT, SUBMIT_RATE),
+                      lambda op, body: "id" in json.loads(body))
+    statuses = [o.status for o in phase.outcomes]
+    print(f"  open loop: {len(statuses)} submits in {phase.seconds:.1f}s, "
+          f"statuses {sorted(statuses)}")
+    check("smoke: every submit answered, zero errors (429 is shedding)",
+          len(statuses) == SUBMIT_COUNT
+          and all(status in (200, 202, 429) for status in statuses))
+    return [
+        (json.loads(o.body)["id"], json.loads(o.op.body))
+        for o in phase.outcomes
+        if o.status in (200, 202)
+    ]
 
 
 def main() -> int:
@@ -171,7 +161,7 @@ def main() -> int:
         kill_payload = {"model": "greedy_tc", "k": 8}
         torn_reference = reference_result(store, torn_payload)
         kill_reference = reference_result(store, kill_payload)
-        spheres = sphere_references(store)
+        spheres = reference_bodies(store, range(NUM_NODES))
 
         # One fault plan for the whole serve process (workers inherit it):
         # - every job's attempt 0 tears its first `step` journal append;
@@ -189,32 +179,14 @@ def main() -> int:
                 for job in (SLOW_A, SLOW_B, QUEUED_JOB, DEADLINE_JOB)
             ],
         )
-        env = subprocess_env()
-        env[ENV_VAR] = plan.to_json()
         jobs_dir = tmp / "jobs"
-        process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve", str(store),
-                "--port", "0", "--jobs", "--jobs-dir", str(jobs_dir),
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            env=env,
-            text=True,
+        server, base = start_server(
+            tmp, "serve", "serve", str(store), "--jobs", "--jobs-dir",
+            str(jobs_dir), env=subprocess_env(plan), banner="serve --jobs came up",
         )
         try:
-            banner = process.stdout.readline()
-            check("serve --jobs came up", "http://" in banner)
-            base = banner.rsplit(" on ", 1)[1].strip()
             print(f"server: {base}")
-
-            stop = threading.Event()
-            failures: list = []
-            hammer_thread = threading.Thread(
-                target=hammer, args=(base, spheres, stop, failures),
-                daemon=True,
-            )
-            hammer_thread.start()
+            hammer = Hammer(base, range(0, NUM_NODES, 3), (spheres,), threads=1)
 
             print("phase 1: torn jobs.commit -> truncate, respawn, byte parity")
             status, _, body = fetch(base, "/jobs/infmax", method="POST",
@@ -222,7 +194,7 @@ def main() -> int:
             check("submit accepted (202)", status == 202)
             check("job id assigned as expected",
                   json.loads(body)["id"] == TORN_JOB)
-            view = wait_job(base, TORN_JOB)
+            view = settled(base, TORN_JOB)
             check("torn job finished done", view["state"] == "done")
             check("torn write cost exactly one respawn", view["attempts"] == 2)
             status, _, body = fetch(base, f"/jobs/{TORN_JOB}/result")
@@ -238,11 +210,16 @@ def main() -> int:
                                     body=kill_payload)
             check("kill-phase submit accepted",
                   status == 202 and json.loads(body)["id"] == KILL_JOB)
-            view = wait_steps(base, KILL_JOB, 2)
+            view = until(
+                lambda: (v := get_json(base, f"/jobs/{KILL_JOB}")).get("steps", 0) >= 2
+                and v.get("worker_pid") and v["state"] == "running" and v,
+                interval=0.02,
+            )
+            check(f"{KILL_JOB} running with >= 2 committed steps", view is not None)
             victim = view["worker_pid"]
             before_steps = view["steps"]
             subprocess.run(["kill", "-9", str(victim)], check=True)
-            view = wait_job(base, KILL_JOB)
+            view = settled(base, KILL_JOB)
             check("killed job finished done", view["state"] == "done")
             check("the SIGKILL forced at least one extra attempt",
                   view["attempts"] >= 3)  # torn attempt + killed + finisher
@@ -267,23 +244,21 @@ def main() -> int:
                 check(f"{job} submitted", status == 202
                       and json.loads(body)["id"] == job)
             # Default max_running is 2: the third job must be queued.
-            status, _, body = fetch(base, f"/jobs/{QUEUED_JOB}")
             check("third job queued behind the slot limit",
-                  json.loads(body)["state"] == "queued")
+                  get_json(base, f"/jobs/{QUEUED_JOB}")["state"] == "queued")
             for job in (QUEUED_JOB, SLOW_A, SLOW_B):
                 status, _, _ = fetch(base, f"/jobs/{job}/cancel",
                                      method="POST")
                 check(f"cancel {job} accepted", status == 200)
             for job in (SLOW_A, SLOW_B, QUEUED_JOB):
                 check(f"{job} settled cancelled",
-                      wait_job(base, job)["state"] == "cancelled")
-            check("running and queued gauges drained to 0",
-                  wait_gauges_zero(base))
+                      settled(base, job)["state"] == "cancelled")
+            check("running and queued gauges drained to 0", gauges_zero(base))
             status, _, body = fetch(base, "/jobs/infmax", method="POST",
                                     body={"model": "greedy_tc", "k": 3})
             probe = json.loads(body)["id"]
             check("freed slots admit and finish new work",
-                  wait_job(base, probe)["state"] == "done")
+                  settled(base, probe)["state"] == "done")
 
             print("phase 4: idempotent double-submit")
             payload = {"model": "celfpp", "k": 4, "idempotency_key": "chaos-1"}
@@ -300,7 +275,7 @@ def main() -> int:
                 and second["id"] == first["id"]
                 and second.get("deduplicated") is True,
             )
-            wait_job(base, first["id"])
+            settled(base, first["id"])
 
             print("phase 5: wall-clock deadline settles failed-permanent")
             status, _, body = fetch(
@@ -309,51 +284,35 @@ def main() -> int:
             )
             check("deadline job submitted",
                   status == 202 and json.loads(body)["id"] == DEADLINE_JOB)
-            view = wait_job(base, DEADLINE_JOB)
+            view = settled(base, DEADLINE_JOB)
             check("deadline exceeded -> failed-permanent",
                   view["state"] == "failed-permanent"
                   and "deadline" in (view["error"] or ""))
-            check("deadline job freed its slot", wait_gauges_zero(base))
+            check("deadline job freed its slot", gauges_zero(base))
 
             print("phase 6: live /sphere traffic stayed byte-correct")
-            stop.set()
-            hammer_thread.join(timeout=30)
             check("zero read-path violations during job chaos",
-                  failures == [])
+                  hammer.stop() == [])
 
-            print("phase 7: loadgen --jobs smoke")
-            bench = tmp / "BENCH_jobs.json"
-            loadgen = subprocess.run(
-                [sys.executable,
-                 str(Path(__file__).resolve().parent / "loadgen.py"),
-                 base, "--jobs", "--rate", "4", "--duration", "2",
-                 "--out", str(bench)],
-                capture_output=True,
-                env=subprocess_env(),
-                text=True,
-                timeout=300,
-            )
-            check("loadgen --jobs exits 0", loadgen.returncode == 0)
-            report = json.loads(bench.read_text()) if bench.is_file() else {}
+            print("phase 7: open-loop job-submission smoke")
+            accepted = submit_smoke(base)
+            views = [settled(base, job) for job, _ in accepted]
+            check("smoke: every accepted job drained to a terminal state",
+                  all(view["state"] in TERMINAL for view in views))
             check(
-                "loadgen wrote a well-formed BENCH_jobs.json",
-                "p99" in report.get("submit_latency_ms", {})
-                and report.get("jobs", {}).get("undrained") == 0
-                and report.get("error_budget", {}).get("errors") == 0,
+                "smoke: every finished job matches its serial reference",
+                all(
+                    q.canonical_json(get_json(base, f"/jobs/{job}/result")["result"])
+                    == reference_result(store, payload)
+                    for (job, payload), view in zip(accepted, views)
+                    if view["state"] == "done"
+                ),
             )
 
             print("phase 8: graceful drain")
-            process.send_signal(signal.SIGTERM)
-            try:
-                code = process.wait(timeout=60)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                check("SIGTERM drains within 60s", False)
-            check("exit code 0 after SIGTERM", code == 0)
+            drain(server)
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+            server.stop()
 
     print("all chaos-jobs checks passed")
     return 0

@@ -27,8 +27,10 @@ processes), and verifies the replication contract one level up:
    recovers on respawn;
 5. **rolling SIGHUP reload** — every replica of every shard advances to
    ``store_generation`` 2;
-6. **loadgen smoke** — ``scripts/loadgen.py`` writes a
-   ``BENCH_router.json`` carrying the availability ratio;
+6. **open-loop smoke** — perfbench's open-loop generator sends 80
+   mixed reads at 40/s: availability (byte-correct answers over all
+   requests) is at least 0.97, sheds are counted, and no sphere answer
+   differs from the reference bytes;
 7. **graceful drain** — SIGTERM shuts router and workers down cleanly.
 
 Run from the repository root::
@@ -45,19 +47,19 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from check_serve import check, fetch, metric_value, subprocess_env  # noqa: E402
+from gatelib import (
+    SMOKE_COUNT, Hammer, check, drain, fetch, get_json, metric_value,
+    metrics_text, read_smoke, reference_bodies, repro, start_server,
+    subprocess_env, until,
+)
 
-from repro.cascades.index import CascadeIndex  # noqa: E402
-from repro.core.typical_cascade import TypicalCascadeComputer  # noqa: E402
-from repro.graph.generators import powerlaw_outdegree_digraph  # noqa: E402
-from repro.problearn.assign import assign_fixed  # noqa: E402
-from repro.runtime.faults import ENV_VAR, FaultPlan, FaultSpec  # noqa: E402
-from repro.serve import query as q  # noqa: E402
+from repro.cascades.index import CascadeIndex
+from repro.graph.generators import powerlaw_outdegree_digraph
+from repro.problearn.assign import assign_fixed
+from repro.runtime.faults import FaultPlan, FaultSpec
 
 SAMPLES = 6
 SEED = 20160626
@@ -68,21 +70,10 @@ FAULT_SHARD = 1    # injected transport failure on its replica 0 -> failover
 HEDGE_SHARD = 0    # injected stall on its replica 0 -> hedge wins
 KILL_SHARD = 1     # loses one replica mid-hammer, later the whole shard
 SCRUB_SHARD = 0    # its replica 1 gets a corrupted column on disk
-SIZE_GRID_RATIO = 1.15  # the serve default; references must match it
 
 _SERVING = re.compile(
     r"\[fleet\] shard (\d+) replica (\d+) pid (\d+) serving on (\S+)"
 )
-
-
-def reference_bodies(index_path: Path) -> dict[int, bytes]:
-    """Serially computed canonical sphere bodies from the unsharded store."""
-    index = CascadeIndex.load(index_path)
-    computer = TypicalCascadeComputer(index, size_grid_ratio=SIZE_GRID_RATIO)
-    return {
-        node: q.canonical_json(q.sphere_payload(node, computer.compute(node)))
-        for node in range(NUM_NODES)
-    }
 
 
 def shard_nodes(shard_id: int) -> range:
@@ -91,86 +82,25 @@ def shard_nodes(shard_id: int) -> range:
     return range(shard_id * per, (shard_id + 1) * per)
 
 
-class FleetProcess:
-    """A ``serve-fleet`` subprocess plus a thread scraping its output."""
-
-    def __init__(self, fleet_dir: Path, faults: FaultPlan | None = None):
-        env = subprocess_env()
-        if faults is not None:
-            env[ENV_VAR] = faults.to_json()
-        self.process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve-fleet", str(fleet_dir),
-                "--port", "0", "--hedge-after", "0.2",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            env=env,
-            text=True,
-        )
-        self.lines: list[str] = []
-        self._lock = threading.Lock()
-        self._reader = threading.Thread(target=self._drain, daemon=True)
-        self._reader.start()
-
-    def _drain(self) -> None:
-        for line in self.process.stdout:
-            with self._lock:
-                self.lines.append(line.rstrip("\n"))
-        self.process.stdout.close()
-
-    def snapshot(self) -> list[str]:
-        with self._lock:
-            return list(self.lines)
-
-    def wait_line(self, predicate, timeout: float = 90.0) -> str:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            for line in self.snapshot():
-                if predicate(line):
-                    return line
-            if self.process.poll() is not None:
-                break
-            time.sleep(0.05)
-        raise AssertionError(
-            "no matching fleet output within "
-            f"{timeout:g}s; got:\n" + "\n".join(self.snapshot())
-        )
-
-    def base(self) -> str:
-        line = self.wait_line(
-            lambda l: l.startswith("routing ") and " on http://" in l
-        )
-        return line.rsplit(" on ", 1)[1].strip()
-
-    def worker_pids(self) -> dict[tuple[int, int], int]:
-        """Latest pid per (shard, replica), from the spawn events so far."""
-        pids: dict[tuple[int, int], int] = {}
-        for line in self.snapshot():
-            match = _SERVING.search(line)
-            if match:
-                key = (int(match.group(1)), int(match.group(2)))
-                pids[key] = int(match.group(3))
-        return pids
+def worker_pids(fleet) -> dict[tuple[int, int], int]:
+    """Latest pid per (shard, replica), from the spawn events so far."""
+    return {
+        (int(match.group(1)), int(match.group(2))): int(match.group(3))
+        for match in map(_SERVING.search, list(fleet.lines))
+        if match
+    }
 
 
-def hammer(base: str, reference: dict[int, bytes], stop: threading.Event,
-           failures: list) -> None:
-    """Strict hammer: every response must be 200 with reference bytes.
-
-    Replication makes a single-replica outage fully transparent, so —
-    unlike the solo-fleet gate — not even explicit refusals are allowed
-    here.
-    """
-    while not stop.is_set():
-        for node in range(NUM_NODES):
-            try:
-                status, _, body = fetch(base, f"/sphere/{node}")
-            except Exception as exc:  # dropped connection = dropped request
-                failures.append((node, "transport", repr(exc)))
-                continue
-            if status != 200 or body != reference[node]:
-                failures.append((node, status, body[:200]))
+def healthz_when(base: str, predicate, timeout: float = 60.0) -> dict:
+    """The first ``/healthz`` payload that satisfies ``predicate``."""
+    payload = until(
+        lambda: (payload := get_json(base, "/healthz")) and predicate(payload)
+        and payload,
+        timeout=timeout, interval=0.02,
+    )
+    if payload is None:
+        raise AssertionError(f"no matching /healthz within {timeout:g}s")
+    return payload
 
 
 def corrupt_column(replica_dir: Path) -> str:
@@ -187,23 +117,6 @@ def corrupt_column(replica_dir: Path) -> str:
     return target.name
 
 
-def wait_healthz(base: str, predicate, timeout: float = 60.0) -> dict:
-    deadline = time.monotonic() + timeout
-    payload: dict = {}
-    while time.monotonic() < deadline:
-        try:
-            _, _, body = fetch(base, "/healthz")
-            payload = json.loads(body)
-        except Exception:
-            payload = {}
-        if payload and predicate(payload):
-            return payload
-        time.sleep(0.02)
-    raise AssertionError(
-        f"healthz predicate not met within {timeout:g}s; last: {payload}"
-    )
-
-
 def main() -> int:
     graph = assign_fixed(
         powerlaw_outdegree_digraph(NUM_NODES, mean_degree=5.0, seed=7), 0.15
@@ -214,28 +127,19 @@ def main() -> int:
         store = Path(tmp) / "idx"
         fleet_dir = Path(tmp) / "fleet"
         index.save(store, format="store")
-        reference = reference_bodies(store)
+        reference = reference_bodies(store, range(NUM_NODES))
 
         print("phase 0: partition with `repro index shard --replicas 2`")
-        shard_cli = subprocess.run(
-            [sys.executable, "-m", "repro", "index", "shard", str(store),
-             "--shards", str(NUM_SHARDS), "--replicas", str(NUM_REPLICAS),
-             "--out", str(fleet_dir)],
-            capture_output=True,
-            env=subprocess_env(),
-        )
+        shard_cli = repro("index", "shard", str(store), "--shards",
+                          str(NUM_SHARDS), "--replicas", str(NUM_REPLICAS),
+                          "--out", str(fleet_dir))
         check("index shard exits 0", shard_cli.returncode == 0)
         check("replica directories written", all(
             (fleet_dir / name).is_dir()
             for name in ("shard-00.cidx", "shard-00.r1.cidx",
                          "shard-01.cidx", "shard-01.r1.cidx")
         ))
-        scrub_cli = subprocess.run(
-            [sys.executable, "-m", "repro", "shard", "scrub", str(fleet_dir)],
-            capture_output=True,
-            env=subprocess_env(),
-            text=True,
-        )
+        scrub_cli = repro("shard", "scrub", str(fleet_dir))
         check("`repro shard scrub` passes a fresh fleet",
               scrub_cli.returncode == 0
               and "every replica matches" in scrub_cli.stdout)
@@ -246,12 +150,14 @@ def main() -> int:
             FaultSpec(site="router.forward", kind="sleep",
                       key=f"{HEDGE_SHARD}/0", seconds=1.5),
         )
-        fleet = FleetProcess(fleet_dir, faults=faults)
+        fleet, base = start_server(
+            Path(tmp), "fleet", "serve-fleet", str(fleet_dir),
+            "--hedge-after", "0.2", env=subprocess_env(faults),
+        )
         try:
-            base = fleet.base()
-            print(f"router: {base}, workers: {fleet.worker_pids()}")
+            print(f"router: {base}, workers: {worker_pids(fleet)}")
             check("all shard x replica workers announced a pid",
-                  set(fleet.worker_pids()) == {
+                  set(worker_pids(fleet)) == {
                       (s, r)
                       for s in range(NUM_SHARDS)
                       for r in range(NUM_REPLICAS)
@@ -271,7 +177,7 @@ def main() -> int:
             check("hedge beats the stalled primary, byte-identical",
                   status == 200 and body == reference[node]
                   and elapsed < 1.5)
-            text = fetch(base, "/metrics")[2].decode()
+            text = metrics_text(base)
             check("metrics: failover counted", metric_value(
                 text,
                 f'repro_router_failovers_total{{shard="{FAULT_SHARD}"}}') == 1)
@@ -284,7 +190,7 @@ def main() -> int:
             check("metrics: hedge counted", metric_value(
                 text,
                 f'repro_router_hedges_total{{shard="{HEDGE_SHARD}"}}') == 1)
-            payload = wait_healthz(base, lambda p: p["status"] == "ok")
+            payload = healthz_when(base, lambda p: p["status"] == "ok")
             check("healthz reports the replica topology",
                   payload["replicas"] == NUM_REPLICAS and all(
                       shard["replicas_total"] == NUM_REPLICAS
@@ -293,35 +199,24 @@ def main() -> int:
                   ))
 
             print("phase 2: replica SIGKILL mid-hammer — zero non-200s")
-            first_pid = fleet.worker_pids()[(KILL_SHARD, 0)]
-            stop = threading.Event()
-            failures: list = []
-            hammer_threads = [
-                threading.Thread(target=hammer,
-                                 args=(base, reference, stop, failures))
-                for _ in range(4)
-            ]
-            for t in hammer_threads:
-                t.start()
+            first_pid = worker_pids(fleet)[(KILL_SHARD, 0)]
+            hammer = Hammer(base, range(NUM_NODES), (reference,))
             time.sleep(0.3)
             subprocess.run(["kill", "-9", str(first_pid)], check=True)
-            degraded = wait_healthz(
+            degraded = healthz_when(
                 base, lambda p: p["status"] in ("degraded", "ok")
                 and p["shards"][KILL_SHARD]["replicas_healthy"] < NUM_REPLICAS
             )
             check("fleet degrades while the replica is down",
                   degraded["status"] == "degraded")
-            fleet.wait_line(
-                lambda l: (m := _SERVING.search(l)) is not None
-                and (int(m.group(1)), int(m.group(2))) == (KILL_SHARD, 0)
-                and int(m.group(3)) != first_pid
+            fleet.wait_for(
+                rf"\[fleet\] shard {KILL_SHARD} replica 0 pid "
+                rf"(?!{first_pid}\b)\d+ serving", 90.0,
             )
-            wait_healthz(base, lambda p: p["status"] == "ok")
-            stop.set()
-            for t in hammer_threads:
-                t.join(timeout=60)
+            healthz_when(base, lambda p: p["status"] == "ok")
+            failures = hammer.stop()
             check("supervisor respawned the replica with a new pid",
-                  fleet.worker_pids()[(KILL_SHARD, 0)] != first_pid)
+                  worker_pids(fleet)[(KILL_SHARD, 0)] != first_pid)
             check("zero non-200 and zero wrong-byte responses in the outage",
                   failures == [])
 
@@ -334,7 +229,7 @@ def main() -> int:
                   status == 200 and payload["ok"] is False
                   and [(e["shard_id"], e["replica"])
                        for e in payload["quarantined"]] == [(SCRUB_SHARD, 1)])
-            health = json.loads(fetch(base, "/healthz")[2])
+            health = get_json(base, "/healthz")
             check("healthz shows the quarantined replica",
                   health["status"] == "degraded"
                   and health["shards"][SCRUB_SHARD]["replicas"][1]["status"]
@@ -359,25 +254,19 @@ def main() -> int:
                                     body={})
             check("re-scrub is clean after repair",
                   status == 200 and json.loads(body)["ok"] is True)
-            wait_healthz(base, lambda p: p["status"] == "ok")
-            scrub_cli = subprocess.run(
-                [sys.executable, "-m", "repro", "shard", "scrub",
-                 str(fleet_dir)],
-                capture_output=True,
-                env=subprocess_env(),
-                text=True,
-            )
+            healthz_when(base, lambda p: p["status"] == "ok")
+            scrub_cli = repro("shard", "scrub", str(fleet_dir))
             check("offline `repro shard scrub` agrees the fleet is clean",
                   scrub_cli.returncode == 0)
 
             print("phase 4: whole shard down — explicit 503, peer shard serves")
-            pids = fleet.worker_pids()
+            pids = worker_pids(fleet)
             for replica in range(NUM_REPLICAS):
                 subprocess.run(
                     ["kill", "-9", str(pids[(KILL_SHARD, replica)])],
                     check=True,
                 )
-            wait_healthz(
+            healthz_when(
                 base,
                 lambda p: p["shards"][KILL_SHARD]["replicas_healthy"] == 0,
             )
@@ -389,7 +278,7 @@ def main() -> int:
                 status, headers, body = fetch(base, f"/sphere/{down_node}")
                 if status == 200:
                     # A replica respawned under us; re-open the window.
-                    for key, pid in fleet.worker_pids().items():
+                    for key, pid in worker_pids(fleet).items():
                         if key[0] == KILL_SHARD:
                             subprocess.run(["kill", "-9", str(pid)])
                     time.sleep(0.05)
@@ -404,60 +293,37 @@ def main() -> int:
             status, _, body = fetch(base, f"/sphere/{up_node}")
             check("the other shard keeps serving byte-identically",
                   status == 200 and body == reference[up_node])
-            wait_healthz(base, lambda p: p["status"] == "ok")
+            healthz_when(base, lambda p: p["status"] == "ok")
             status, _, body = fetch(base, f"/sphere/{down_node}")
             check("downed shard recovers after respawn",
                   status == 200 and body == reference[down_node])
 
             print("phase 5: rolling SIGHUP reload across every replica")
-            fleet.process.send_signal(signal.SIGHUP)
-            wait_healthz(base, lambda p: p["status"] == "ok" and all(
+            fleet.proc.send_signal(signal.SIGHUP)
+            healthz_when(base, lambda p: p["status"] == "ok" and all(
                 replica["store_generation"] == 2
                 for shard in p["shards"]
                 for replica in shard["replicas"]
             ))
             check("metrics: rolling reload counted ok", metric_value(
-                fetch(base, "/metrics")[2].decode(),
+                metrics_text(base),
                 'repro_router_reloads_total{result="ok"}') == 1)
 
-            print("phase 6: loadgen smoke — availability in BENCH_router.json")
-            bench = Path(tmp) / "BENCH_router.json"
-            loadgen = subprocess.run(
-                [sys.executable,
-                 str(Path(__file__).resolve().parent / "loadgen.py"),
-                 base, "--rate", "40", "--duration", "2",
-                 "--out", str(bench)],
-                capture_output=True,
-                env=subprocess_env(),
-                text=True,
-            )
-            check("loadgen exits 0", loadgen.returncode == 0)
-            report = json.loads(bench.read_text()) if bench.is_file() else {}
-            check(
-                "loadgen reports availability against the replicated fleet",
-                report.get("completed") == 80
-                and "shed" in report
-                and report.get("availability", 0.0) >= 0.97
-                and "p99" in report.get("latency_ms", {}),
-            )
+            print("phase 6: open-loop smoke against the replicated fleet")
+            phase = read_smoke(base, reference)
+            completed = len(phase.outcomes)
+            shed = sum(o.status == 429 for o in phase.outcomes)
+            print(f"  availability {len(phase.ok()) / completed:.3f}, {shed} shed")
+            check(f"smoke: all {SMOKE_COUNT} open-loop requests completed",
+                  completed == SMOKE_COUNT)
+            check("smoke: availability >= 0.97, none wrong against the "
+                  "reference", len(phase.ok()) >= 0.97 * completed
+                  and all(o.verdict != "wrong" for o in phase.outcomes))
 
             print("phase 7: graceful drain")
-            fleet.process.send_signal(signal.SIGTERM)
-            try:
-                code = fleet.process.wait(timeout=60)
-            except subprocess.TimeoutExpired:
-                fleet.process.kill()
-                check("SIGTERM drains within 60s", False)
-            check("exit code 0 after SIGTERM", code == 0)
-            fleet._reader.join(timeout=10)
-            check(
-                "drain banner printed",
-                any("shut down cleanly" in line for line in fleet.snapshot()),
-            )
+            drain(fleet, banner="drain banner printed")
         finally:
-            if fleet.process.poll() is None:
-                fleet.process.kill()
-                fleet.process.wait(timeout=10)
+            fleet.stop()
 
     print("all chaos-replica checks passed")
     return 0

@@ -20,8 +20,9 @@ refused* contract one level up the stack:
    reload sweeps the fleet while requests are in flight; zero requests
    are dropped or refused, and every shard reports ``store_generation``
    2 afterwards;
-4. **loadgen smoke** — ``scripts/loadgen.py`` drives the router open
-   loop and writes a well-formed ``BENCH_router.json``;
+4. **open-loop smoke** — perfbench's open-loop generator sends 80
+   mixed reads (sphere, cascade stats, 8-node batch) at 40/s; at least
+   78 answer, and no sphere answer differs from the reference bytes;
 5. **graceful drain** — SIGTERM shuts the router and all workers down
    cleanly (exit code 0, drain banner printed).
 
@@ -38,19 +39,19 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from check_serve import check, fetch, metric_value, subprocess_env  # noqa: E402
+from gatelib import (
+    SMOKE_COUNT, Hammer, acceptable, check, drain, fetch, get_json,
+    metric_value, metrics_text, read_smoke, reference_bodies, repro,
+    start_server, subprocess_env, sweep, until,
+)
 
-from repro.cascades.index import CascadeIndex  # noqa: E402
-from repro.core.typical_cascade import TypicalCascadeComputer  # noqa: E402
-from repro.graph.generators import powerlaw_outdegree_digraph  # noqa: E402
-from repro.problearn.assign import assign_fixed  # noqa: E402
-from repro.runtime.faults import ENV_VAR, FaultPlan, FaultSpec  # noqa: E402
-from repro.serve import query as q  # noqa: E402
+from repro.cascades.index import CascadeIndex
+from repro.graph.generators import powerlaw_outdegree_digraph
+from repro.problearn.assign import assign_fixed
+from repro.runtime.faults import FaultPlan, FaultSpec
 
 SAMPLES = 6
 SEED = 20160626
@@ -58,7 +59,6 @@ NUM_NODES = 60
 NUM_SHARDS = 3
 FAULT_SHARD = 1   # router.forward transport failures injected here
 KILL_SHARD = 2    # its worker is SIGKILLed mid-hammer
-SIZE_GRID_RATIO = 1.15  # the serve default; references must match it
 
 #: Statuses that count as an explicit refusal under the routed contract
 #: (the worker set plus the router's own 502 upstream-failure surface).
@@ -67,102 +67,13 @@ REFUSALS = (429, 500, 502, 503, 504)
 _SERVING = re.compile(r"\[fleet\] shard (\d+) pid (\d+) serving on (\S+)")
 
 
-def reference_bodies(index_path: Path) -> dict[int, bytes]:
-    """Serially computed canonical sphere bodies from the unsharded store."""
-    index = CascadeIndex.load(index_path)
-    computer = TypicalCascadeComputer(index, size_grid_ratio=SIZE_GRID_RATIO)
+def worker_pids(fleet) -> dict[int, int]:
+    """Latest pid per shard, from the spawn events seen so far."""
     return {
-        node: q.canonical_json(q.sphere_payload(node, computer.compute(node)))
-        for node in range(NUM_NODES)
+        int(match.group(1)): int(match.group(2))
+        for match in map(_SERVING.search, list(fleet.lines))
+        if match
     }
-
-
-class FleetProcess:
-    """A ``serve-fleet`` subprocess plus a thread scraping its output.
-
-    Worker spawn events (``[fleet] shard N pid P serving on ADDR``) and
-    the router banner arrive on the same pipe from different threads, so
-    everything is collected into a list and waited on by predicate.
-    """
-
-    def __init__(self, fleet_dir: Path, faults: FaultPlan | None = None):
-        env = subprocess_env()
-        if faults is not None:
-            env[ENV_VAR] = faults.to_json()
-        self.process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve-fleet", str(fleet_dir),
-                "--port", "0",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            env=env,
-            text=True,
-        )
-        self.lines: list[str] = []
-        self._lock = threading.Lock()
-        self._reader = threading.Thread(target=self._drain, daemon=True)
-        self._reader.start()
-
-    def _drain(self) -> None:
-        for line in self.process.stdout:
-            with self._lock:
-                self.lines.append(line.rstrip("\n"))
-        self.process.stdout.close()
-
-    def snapshot(self) -> list[str]:
-        with self._lock:
-            return list(self.lines)
-
-    def wait_line(self, predicate, timeout: float = 90.0) -> str:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            for line in self.snapshot():
-                if predicate(line):
-                    return line
-            if self.process.poll() is not None:
-                break
-            time.sleep(0.05)
-        raise AssertionError(
-            "no matching fleet output within "
-            f"{timeout:g}s; got:\n" + "\n".join(self.snapshot())
-        )
-
-    def base(self) -> str:
-        line = self.wait_line(
-            lambda l: l.startswith("routing ") and " on http://" in l
-        )
-        return line.rsplit(" on ", 1)[1].strip()
-
-    def worker_pids(self) -> dict[int, int]:
-        """Latest pid per shard, from the spawn events seen so far."""
-        pids: dict[int, int] = {}
-        for line in self.snapshot():
-            match = _SERVING.search(line)
-            if match:
-                pids[int(match.group(1))] = int(match.group(2))
-        return pids
-
-
-def hammer(base: str, reference: dict[int, bytes], stop: threading.Event,
-           strict: bool, failures: list) -> None:
-    """Loop all nodes until ``stop``; collect contract violations.
-
-    ``strict`` disallows refusals too (the rolling-reload phase must
-    drop zero requests); otherwise an explicit JSON refusal is fine.
-    """
-    while not stop.is_set():
-        for node in range(NUM_NODES):
-            try:
-                status, _, body = fetch(base, f"/sphere/{node}")
-            except Exception as exc:  # dropped connection = dropped request
-                failures.append((node, "transport", repr(exc)))
-                continue
-            if status == 200 and body == reference[node]:
-                continue
-            refused = status in REFUSALS and "error" in json.loads(body)
-            if strict or not refused:
-                failures.append((node, status, body[:200]))
 
 
 def main() -> int:
@@ -175,15 +86,11 @@ def main() -> int:
         store = Path(tmp) / "idx"
         fleet_dir = Path(tmp) / "fleet"
         index.save(store, format="store")
-        reference = reference_bodies(store)
+        reference = reference_bodies(store, range(NUM_NODES))
 
         print("phase 0: partition the store with `repro index shard`")
-        shard_cli = subprocess.run(
-            [sys.executable, "-m", "repro", "index", "shard", str(store),
-             "--shards", str(NUM_SHARDS), "--out", str(fleet_dir)],
-            capture_output=True,
-            env=subprocess_env(),
-        )
+        shard_cli = repro("index", "shard", str(store), "--shards",
+                          str(NUM_SHARDS), "--out", str(fleet_dir))
         check("index shard exits 0", shard_cli.returncode == 0)
         check("partition map written",
               (fleet_dir / "partition.json").is_file())
@@ -192,40 +99,21 @@ def main() -> int:
             FaultSpec(site="router.forward", kind="error", key=FAULT_SHARD,
                       attempts=(2, 5)),
         )
-        fleet = FleetProcess(fleet_dir, faults=faults)
+        fleet, base = start_server(
+            Path(tmp), "fleet", "serve-fleet", str(fleet_dir),
+            env=subprocess_env(faults),
+        )
         try:
-            base = fleet.base()
-            print(f"router: {base}, shards: {fleet.worker_pids()}")
+            print(f"router: {base}, shards: {worker_pids(fleet)}")
             check("all workers announced a pid",
-                  set(fleet.worker_pids()) == set(range(NUM_SHARDS)))
+                  set(worker_pids(fleet)) == set(range(NUM_SHARDS)))
 
             print("phase 1: faulted hammer vs serial single-process reference")
-            results: dict[int, tuple[int, bytes]] = {}
-            lock = threading.Lock()
-
-            def sweep(nodes) -> None:
-                for node in nodes:
-                    status, _, body = fetch(base, f"/sphere/{node}")
-                    with lock:
-                        results[node] = (status, body)
-
-            threads = [
-                threading.Thread(target=sweep,
-                                 args=(range(i, NUM_NODES, 6),))
-                for i in range(6)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-
+            results = sweep(base, range(NUM_NODES))
             bad = [
                 node
                 for node, (status, body) in sorted(results.items())
-                if not (
-                    (status == 200 and body == reference[node])
-                    or (status in REFUSALS and "error" in json.loads(body))
-                )
+                if not acceptable(status, body, [reference[node]], REFUSALS)
             ]
             check("every routed response is correct bytes or explicit refusal",
                   bad == [])
@@ -251,8 +139,7 @@ def main() -> int:
                 ),
             )
 
-            status, _, body = fetch(base, "/metrics")
-            text = body.decode()
+            text = metrics_text(base)
             check("metrics: injected forwards counted", metric_value(
                 text,
                 'repro_router_forward_failures_total'
@@ -261,36 +148,22 @@ def main() -> int:
                   f'shard="{KILL_SHARD}"' in text)
 
             print("phase 2: worker SIGKILL mid-hammer, supervisor respawn")
-            first_pid = fleet.worker_pids()[KILL_SHARD]
-            stop = threading.Event()
-            failures: list = []
-            hammer_threads = [
-                threading.Thread(target=hammer,
-                                 args=(base, reference, stop, False, failures))
-                for _ in range(4)
-            ]
-            for t in hammer_threads:
-                t.start()
+            first_pid = worker_pids(fleet)[KILL_SHARD]
+            hammer = Hammer(base, range(NUM_NODES), (reference,),
+                            refusals=REFUSALS)
             time.sleep(0.3)
             subprocess.run(["kill", "-9", str(first_pid)], check=True)
-            fleet.wait_line(
-                lambda l: (m := _SERVING.search(l)) is not None
-                and int(m.group(1)) == KILL_SHARD
-                and int(m.group(2)) != first_pid
+            fleet.wait_for(
+                rf"\[fleet\] shard {KILL_SHARD} pid (?!{first_pid}\b)\d+ serving",
+                90.0,
             )
             # Let the respawned worker absorb routed traffic before stopping.
-            recovered = False
-            for _ in range(300):
-                status, _, body = fetch(base, "/healthz")
-                if status == 200 and json.loads(body)["status"] == "ok":
-                    recovered = True
-                    break
-                time.sleep(0.1)
-            stop.set()
-            for t in hammer_threads:
-                t.join(timeout=60)
+            recovered = until(
+                lambda: get_json(base, "/healthz").get("status") == "ok",
+                timeout=30.0)
+            failures = hammer.stop()
             check("supervisor respawned the killed worker with a new pid",
-                  fleet.worker_pids()[KILL_SHARD] != first_pid)
+                  worker_pids(fleet)[KILL_SHARD] != first_pid)
             check("fleet healthz back to ok after respawn", recovered)
             check("outage responses were correct bytes or explicit refusals",
                   failures == [])
@@ -303,78 +176,41 @@ def main() -> int:
             )
 
             print("phase 3: rolling SIGHUP reload mid-hammer")
-            stop = threading.Event()
-            failures = []
-            hammer_threads = [
-                threading.Thread(target=hammer,
-                                 args=(base, reference, stop, True, failures))
-                for _ in range(4)
-            ]
-            for t in hammer_threads:
-                t.start()
+            hammer = Hammer(base, range(NUM_NODES), (reference,))
             time.sleep(0.2)
-            fleet.process.send_signal(signal.SIGHUP)
-            generations = None
-            for _ in range(300):
-                status, _, body = fetch(base, "/healthz")
-                generations = [
+            fleet.proc.send_signal(signal.SIGHUP)
+            advanced = until(
+                lambda: [
                     shard["store_generation"]
-                    for shard in json.loads(body)["shards"]
-                ]
-                if generations == [2] * NUM_SHARDS:
-                    break
-                time.sleep(0.1)
-            stop.set()
-            for t in hammer_threads:
-                t.join(timeout=60)
+                    for shard in get_json(base, "/healthz").get("shards", [])
+                ] == [2] * NUM_SHARDS,
+                timeout=30.0)
+            failures = hammer.stop()
             check("rolling reload advanced every shard to generation 2",
-                  generations == [2] * NUM_SHARDS)
+                  advanced)
             check("zero dropped or refused requests across the rolling reload",
                   failures == [])
-            fleet.wait_line(lambda l: "rolling reload reloaded" in l,
-                            timeout=30)
-            status, _, body = fetch(base, "/metrics")
+            # The reload's summary line goes to the fleet's stderr log.
+            check("rolling reload summary line in the fleet log", until(
+                lambda: "rolling reload reloaded" in fleet.log_tail(1000),
+                timeout=30.0))
             check("metrics: rolling reload counted ok", metric_value(
-                body.decode(),
+                metrics_text(base),
                 'repro_router_reloads_total{result="ok"}') == 1)
 
-            print("phase 4: loadgen smoke against the router")
-            bench = Path(tmp) / "BENCH_router.json"
-            loadgen = subprocess.run(
-                [sys.executable,
-                 str(Path(__file__).resolve().parent / "loadgen.py"),
-                 base, "--rate", "40", "--duration", "2",
-                 "--out", str(bench)],
-                capture_output=True,
-                env=subprocess_env(),
-                text=True,
-            )
-            check("loadgen exits 0", loadgen.returncode == 0)
-            report = json.loads(bench.read_text()) if bench.is_file() else {}
-            check(
-                "loadgen wrote a well-formed BENCH_router.json",
-                report.get("completed") == 80
-                and report.get("ok", 0) >= 78
-                and "p99" in report.get("latency_ms", {}),
-            )
+            print("phase 4: open-loop smoke against the router")
+            phase = read_smoke(base, reference)
+            check(f"smoke: all {SMOKE_COUNT} open-loop requests completed",
+                  len(phase.outcomes) == SMOKE_COUNT)
+            check(f"smoke: at least {SMOKE_COUNT - 2} answers ok, none wrong "
+                  "against the reference",
+                  len(phase.ok()) >= SMOKE_COUNT - 2
+                  and all(o.verdict != "wrong" for o in phase.outcomes))
 
             print("phase 5: graceful drain")
-            fleet.process.send_signal(signal.SIGTERM)
-            try:
-                code = fleet.process.wait(timeout=60)
-            except subprocess.TimeoutExpired:
-                fleet.process.kill()
-                check("SIGTERM drains within 60s", False)
-            check("exit code 0 after SIGTERM", code == 0)
-            fleet._reader.join(timeout=10)
-            check(
-                "drain banner printed",
-                any("shut down cleanly" in line for line in fleet.snapshot()),
-            )
+            drain(fleet, banner="drain banner printed")
         finally:
-            if fleet.process.poll() is None:
-                fleet.process.kill()
-                fleet.process.wait(timeout=10)
+            fleet.stop()
 
     print("all chaos-router checks passed")
     return 0

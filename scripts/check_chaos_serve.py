@@ -28,24 +28,22 @@ Run from the repository root::
 
 from __future__ import annotations
 
-import json
 import shutil
 import signal
-import subprocess
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from check_serve import check, fetch, metric_value, subprocess_env  # noqa: E402
+from gatelib import (
+    Hammer, acceptable, check, drain, fetch, get_json, metric_value,
+    metrics_text, reference_bodies, repro, start_server, subprocess_env,
+    sweep, until,
+)
 
-from repro.cascades.index import CascadeIndex  # noqa: E402
-from repro.core.typical_cascade import TypicalCascadeComputer  # noqa: E402
-from repro.graph.generators import powerlaw_outdegree_digraph  # noqa: E402
-from repro.problearn.assign import assign_fixed  # noqa: E402
-from repro.runtime.faults import ENV_VAR, FaultPlan, FaultSpec  # noqa: E402
-from repro.serve import query as q  # noqa: E402
+from repro.cascades.index import CascadeIndex
+from repro.graph.generators import powerlaw_outdegree_digraph
+from repro.problearn.assign import assign_fixed
+from repro.runtime.faults import FaultPlan, FaultSpec
 
 SAMPLES = 6
 SEED = 20160626
@@ -54,52 +52,18 @@ HAMMER_NODES = tuple(range(30))
 ERROR_NODE = 13   # injected compute error (request-level crash)
 SLEEP_NODE = 17   # injected over-deadline sleep (wedged compute)
 DEADLINE = 1.0
-SIZE_GRID_RATIO = 1.15  # the serve default; references must match it
 
 #: Statuses that count as an explicit refusal under the contract.
 REFUSALS = (429, 500, 503, 504)
 
 
-def reference_bodies(index_path: Path, nodes) -> dict[int, bytes]:
-    """Serially computed canonical sphere bodies for ``nodes``."""
-    index = CascadeIndex.load(index_path)
-    computer = TypicalCascadeComputer(index, size_grid_ratio=SIZE_GRID_RATIO)
-    return {
-        node: q.canonical_json(q.sphere_payload(node, computer.compute(node)))
-        for node in nodes
-    }
-
-
-def start_server(index_path: Path, *args: str, faults: FaultPlan | None = None):
-    env = subprocess_env()
-    if faults is not None:
-        env[ENV_VAR] = faults.to_json()
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve", str(index_path),
-            "--port", "0", *args,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        env=env,
-        text=True,
-    )
-    banner = process.stdout.readline()
-    if "http://" not in banner:
-        process.kill()
-        raise AssertionError(f"no listening banner, got: {banner!r}")
-    return process, banner.rsplit(" on ", 1)[1].strip()
-
-
-def stop_server(process, label: str) -> None:
-    process.send_signal(signal.SIGTERM)
-    try:
-        code = process.wait(timeout=30)
-    except subprocess.TimeoutExpired:
-        process.kill()
-        check(f"{label}: SIGTERM shuts down within 30s", False)
-        return
-    check(f"{label}: exit code 0 after SIGTERM", code == 0)
+def corrupt_copy(store: Path, copy: Path) -> None:
+    """Copy ``store`` to ``copy`` and flip one byte of its members column."""
+    shutil.copytree(store, copy)
+    damaged = copy / "members.npy"
+    blob = bytearray(damaged.read_bytes())
+    blob[-64] ^= 0xFF
+    damaged.write_bytes(bytes(blob))
 
 
 def main() -> int:
@@ -120,54 +84,32 @@ def main() -> int:
             FaultSpec(site="serve.compute", kind="sleep", key=SLEEP_NODE,
                       seconds=3.0),
         )
-        process, base = start_server(
-            store, "--deadline", str(DEADLINE), "--max-inflight", "8",
-            faults=faults,
+        server, base = start_server(
+            Path(tmp), "serve", "serve", str(store), "--deadline",
+            str(DEADLINE), "--max-inflight", "8", env=subprocess_env(faults),
         )
         corrupt_server = None
         try:
             print("phase 1: faulted hammer vs serial reference")
-            results: dict[int, tuple[int, bytes]] = {}
-            lock = threading.Lock()
-
-            def hammer(nodes) -> None:
-                for node in nodes:
-                    status, _, body = fetch(base, f"/sphere/{node}")
-                    with lock:
-                        results[node] = (status, body)
-
-            threads = [
-                threading.Thread(target=hammer, args=(HAMMER_NODES[i::6],))
-                for i in range(6)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-
+            results = sweep(base, HAMMER_NODES)
             bad = [
                 node
                 for node, (status, body) in results.items()
-                if not (
-                    (status == 200 and body == reference[node])
-                    or (status in REFUSALS and "error" in json.loads(body))
-                )
+                if not acceptable(status, body, [reference[node]], REFUSALS)
             ]
             check("every response is correct bytes or an explicit refusal",
                   bad == [])
             check("injected compute error surfaced as a 5xx",
                   results[ERROR_NODE][0] in (500, 503))
             check("wedged compute surfaced as 504 deadline-exceeded",
-                  results[SLEEP_NODE][0] in (503, 504)
-                  and results.get(SLEEP_NODE) is not None)
+                  results[SLEEP_NODE][0] in (503, 504))
             refused = [n for n, (s, _) in results.items() if s != 200]
             for node in refused:
                 status, _, body = fetch(base, f"/sphere/{node}")
                 check(f"faulted node {node} recovers on retry",
                       status == 200 and body == reference[node])
 
-            status, _, body = fetch(base, "/metrics")
-            text = body.decode()
+            text = metrics_text(base)
             check("metrics: injected error counted", metric_value(
                 text, 'repro_serve_compute_failures_total{kind="error"}') >= 1)
             check("metrics: timeout counted", metric_value(
@@ -176,52 +118,20 @@ def main() -> int:
                 text, "repro_serve_deadline_exceeded_total") >= 1)
 
             print("phase 2: mid-traffic SIGHUP hot reload")
-            append = subprocess.run(
-                [sys.executable, "-m", "repro", "index", "append",
-                 str(store), "--samples", "2"],
-                capture_output=True,
-                env=subprocess_env(),
-            )
+            append = repro("index", "append", str(store), "--samples", "2")
             check("index append exits 0", append.returncode == 0)
             reference_v2 = reference_bodies(store, HAMMER_NODES)
 
-            stop = threading.Event()
-            invalid: list[tuple[int, int, bytes]] = []
-
-            def reload_hammer(nodes) -> None:
-                while not stop.is_set():
-                    for node in nodes:
-                        status, _, body = fetch(base, f"/sphere/{node}")
-                        ok = (
-                            status == 200
-                            and body in (reference[node], reference_v2[node])
-                        ) or status in REFUSALS
-                        if not ok:
-                            with lock:
-                                invalid.append((node, status, body))
-
-            reload_threads = [
-                threading.Thread(target=reload_hammer,
-                                 args=(HAMMER_NODES[i::4],))
-                for i in range(4)
-            ]
-            for t in reload_threads:
-                t.start()
-            process.send_signal(signal.SIGHUP)
-            generation = None
-            for _ in range(300):
-                status, _, body = fetch(base, "/healthz")
-                generation = json.loads(body).get("generation")
-                if generation == 2:
-                    break
-                threading.Event().wait(0.1)
-            stop.set()
-            for t in reload_threads:
-                t.join(timeout=60)
-            check("SIGHUP swapped to generation 2", generation == 2)
+            hammer = Hammer(base, HAMMER_NODES, (reference, reference_v2),
+                            refusals=REFUSALS)
+            server.proc.send_signal(signal.SIGHUP)
+            reloaded = until(
+                lambda: get_json(base, "/healthz").get("generation") == 2,
+                timeout=30.0)
+            invalid = hammer.stop()
+            check("SIGHUP swapped to generation 2", reloaded)
             check("zero invalid responses across the reload", invalid == [])
-            status, _, body = fetch(base, "/healthz")
-            health = json.loads(body)
+            health = get_json(base, "/healthz")
             check("reloaded store serves the appended worlds",
                   health["num_worlds"] == SAMPLES + 2)
             parity = [fetch(base, f"/sphere/{n}") for n in HAMMER_NODES[:8]]
@@ -233,68 +143,54 @@ def main() -> int:
 
             print("phase 3: verified reload rolls back a corrupt candidate")
             candidate = Path(tmp) / "candidate"
-            shutil.copytree(store, candidate)
-            damaged = candidate / "members.npy"
-            blob = bytearray(damaged.read_bytes())
-            blob[-64] ^= 0xFF
-            damaged.write_bytes(bytes(blob))
+            corrupt_copy(store, candidate)
             status, _, body = fetch(
                 base, "/admin/reload", method="POST",
                 body={"index": str(candidate)},
             )
             check("corrupt candidate refused with 500",
                   status == 500 and b"rolled back" in body)
-            status, _, body = fetch(base, "/healthz")
-            health = json.loads(body)
+            health = get_json(base, "/healthz")
             check("rollback kept generation 2 serving",
                   health["generation"] == 2 and health["status"] == "ok")
             status, _, body = fetch(base, f"/sphere/{HAMMER_NODES[2]}")
             check("old generation still byte-identical after rollback",
                   status == 200 and body == reference_v2[HAMMER_NODES[2]])
-            status, _, body = fetch(base, "/metrics")
             check("metrics: rollback counted", metric_value(
-                body.decode(),
+                metrics_text(base),
                 'repro_serve_reloads_total{result="rolled_back"}') == 1)
 
             print("phase 4: read-time corruption quarantine")
             corrupt_store = Path(tmp) / "corrupt"
-            shutil.copytree(store, corrupt_store)
-            damaged = corrupt_store / "members.npy"
-            blob = bytearray(damaged.read_bytes())
-            blob[-64] ^= 0xFF
-            damaged.write_bytes(bytes(blob))
+            corrupt_copy(store, corrupt_store)
             corrupt_server, corrupt_base = start_server(
-                corrupt_store, "--verify", "lazy"
+                Path(tmp), "corrupt", "serve", str(corrupt_store),
+                "--verify", "lazy",
             )
             status, _, body = fetch(corrupt_base, f"/sphere/{HAMMER_NODES[0]}")
             check("corrupted column answers an explicit 500",
                   status == 500 and b"quarantined" in body)
             status, _, body = fetch(corrupt_base, f"/sphere/{HAMMER_NODES[1]}")
             check("quarantine fast-fails later touches", status == 500)
-            status, _, body = fetch(corrupt_base, "/healthz")
-            health = json.loads(body)
+            health = get_json(corrupt_base, "/healthz")
             check(
                 "healthz reports degraded + the quarantined column",
                 health["status"] == "degraded"
                 and health["quarantined_columns"] == ["members"],
             )
-            status, _, body = fetch(corrupt_base, "/metrics")
-            text = body.decode()
+            text = metrics_text(corrupt_base)
             check("metrics: store corruption counted",
                   metric_value(text, "repro_serve_store_corrupt_total") >= 2)
             check("metrics: quarantine gauge set", metric_value(
                 text, "repro_serve_quarantined_columns") == 1)
 
             print("phase 5: graceful shutdown")
-            stop_server(process, "main server")
-            stop_server(corrupt_server, "corrupt server")
-            corrupt_server = None
-            process = None
+            drain(server, "main server: ")
+            drain(corrupt_server, "corrupt server: ")
         finally:
-            for running in (process, corrupt_server):
-                if running is not None and running.poll() is None:
-                    running.kill()
-                    running.wait(timeout=10)
+            server.stop()
+            if corrupt_server is not None:
+                corrupt_server.stop()
 
     print("all chaos-serve checks passed")
     return 0

@@ -24,17 +24,15 @@ Run from the repository root::
 from __future__ import annotations
 
 import json
-import os
-import subprocess
 import sys
 import tempfile
-import urllib.error
-import urllib.request
 from pathlib import Path
+
+from gatelib import check, fetch, repro, start_server, subprocess_env
 
 from repro.data import fetch_source, list_sources, read_manifest
 from repro.data.errors import ManifestError
-from repro.runtime.faults import CRASH_EXIT_CODE
+from repro.runtime.faults import CRASH_EXIT_CODE, FaultPlan, FaultSpec
 from repro.store.fingerprint import digest_file
 
 SOURCE = "epinions"
@@ -42,50 +40,14 @@ DATASET = "epinions-W"
 SAMPLES = 8
 
 
-def check(label: str, ok: bool) -> None:
-    print(f"  [{'ok' if ok else 'FAIL'}] {label}")
-    if not ok:
-        sys.exit(1)
+def data_repro(root: Path, *argv: str, faults: FaultPlan | None = None):
+    """``python -m repro <argv>`` with ``root`` as its data directory."""
+    return repro(*argv, env=subprocess_env(faults, REPRO_DATA_DIR=str(root)))
 
 
-def fetch(base: str, path: str):
-    """(status, body_bytes); HTTP error statuses are returned."""
-    request = urllib.request.Request(base + path)
-    try:
-        with urllib.request.urlopen(request, timeout=30) as response:
-            return response.status, response.read()
-    except urllib.error.HTTPError as exc:
-        return exc.code, exc.read()
-
-
-def subprocess_env(root: Path) -> dict[str, str]:
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    env["REPRO_DATA_DIR"] = str(root)
-    env.pop("REPRO_FAULTS", None)
-    return env
-
-
-def repro(root: Path, *argv: str, faults=None) -> subprocess.CompletedProcess:
-    env = subprocess_env(root)
-    if faults is not None:
-        env["REPRO_FAULTS"] = json.dumps({"faults": faults})
-    return subprocess.run(
-        [sys.executable, "-m", "repro", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-def ingest_digest(root: Path, *, faults=None) -> subprocess.CompletedProcess:
+def ingest_digest(root: Path, *, faults: FaultPlan | None = None):
     """One ``repro data ingest`` run; digest is read back via the manifest."""
-    return repro(
-        root, "data", "ingest", SOURCE, "--offline", faults=faults
-    )
+    return data_repro(root, "data", "ingest", SOURCE, "--offline", faults=faults)
 
 
 def main() -> int:
@@ -107,7 +69,7 @@ def main() -> int:
             "ingest reports a manifest digest",
             "manifest digest: sha256:" in done.stdout,
         )
-        verify = repro(root, "data", "verify", DATASET, "--full")
+        verify = data_repro(root, "data", "verify", DATASET, "--full")
         check("full array re-hash verifies clean", verify.returncode == 0)
         dataset_dir = root / "ingested" / DATASET
         clean = read_manifest(dataset_dir)["manifest_digest"]
@@ -116,10 +78,8 @@ def main() -> int:
         print("chaos: crash mid-parse, resume to bit-identical digest:")
         chaos_root = Path(tmp) / "chaos"
         fetch_source(SOURCE, root=chaos_root, offline=True)
-        plan = [{
-            "site": "data.parse", "kind": "crash", "key": "dedup",
-            "attempts": [0], "seconds": 0,
-        }]
+        plan = FaultPlan.of(FaultSpec(site="data.parse", kind="crash",
+                                      key="dedup", attempts=(0,)))
         interrupted = ingest_digest(chaos_root, faults=plan)
         check(
             "fault crashed the ingest",
@@ -148,7 +108,7 @@ def main() -> int:
         manifest_path = torn_root / "ingested" / DATASET / "dataset.json"
         text = manifest_path.read_text()
         manifest_path.write_text(text[: len(text) // 2])
-        torn = repro(torn_root, "data", "verify", DATASET)
+        torn = data_repro(torn_root, "data", "verify", DATASET)
         check("repro data verify refuses a torn manifest (exit 2)",
               torn.returncode == 2)
         check("refusal names the torn write", "torn write" in torn.stderr)
@@ -161,26 +121,20 @@ def main() -> int:
 
         print("build -> serve on the ingested graph:")
         index_path = Path(tmp) / "idx"
-        built = repro(
+        built = data_repro(
             root, "index", "build", "--dataset", DATASET,
             "--samples", str(SAMPLES), "--out", str(index_path),
         )
         check("index build --dataset exits 0", built.returncode == 0)
 
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", str(index_path),
-             "--port", "0"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            env=subprocess_env(root),
-            text=True,
+        server, base = start_server(
+            Path(tmp), "serve", "serve", str(index_path),
+            env=subprocess_env(REPRO_DATA_DIR=str(root)),
+            banner="server prints a listening banner",
         )
         try:
-            banner = process.stdout.readline()
-            check("server prints a listening banner", "http://" in banner)
-            base = banner.rsplit(" on ", 1)[1].strip()
 
-            status, body = fetch(base, "/healthz")
+            status, _, body = fetch(base, "/healthz")
             health = json.loads(body)
             check("healthz is ok", status == 200 and health["status"] == "ok")
             manifest = read_manifest(dataset_dir)
@@ -190,33 +144,30 @@ def main() -> int:
             )
 
             node = 3
-            status, http_body = fetch(base, f"/sphere/{node}")
+            status, _, http_body = fetch(base, f"/sphere/{node}")
             check("sphere query answers 200", status == 200)
-            cli = subprocess.run(
-                [sys.executable, "-m", "repro", "index", "query",
-                 str(index_path), "--node", str(node), "--sphere", "--json"],
-                capture_output=True,
-                env=subprocess_env(root),
+            cli = data_repro(
+                root, "index", "query", str(index_path), "--node", str(node),
+                "--sphere", "--json",
             )
             check("CLI query --json exits 0", cli.returncode == 0)
             check(
                 "CLI and server JSON byte-identical",
-                cli.stdout.rstrip(b"\n") == http_body,
+                cli.stdout.rstrip("\n").encode() == http_body,
             )
         finally:
-            process.kill()
-            process.wait(timeout=10)
+            server.stop()
 
         print("CLI surface:")
         check(
             "data fetch reports the cache hit",
-            "already cached" in repro(root, "data", "fetch", SOURCE,
+            "already cached" in data_repro(root, "data", "fetch", SOURCE,
                                       "--offline").stdout,
         )
-        info = repro(root, "data", "info", DATASET)
+        info = data_repro(root, "data", "info", DATASET)
         check("data info shows provenance", info.returncode == 0
               and "sha256:" in info.stdout)
-        listing = repro(root, "data", "info", "--json")
+        listing = data_repro(root, "data", "info", "--json")
         payload = json.loads(listing.stdout)
         check(
             "data info --json lists the ingested dataset",

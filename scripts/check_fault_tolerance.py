@@ -24,6 +24,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from gatelib import check
+
 from repro.cascades.index import CascadeIndex
 from repro.core.typical_cascade import TypicalCascadeComputer
 from repro.graph.generators import powerlaw_outdegree_digraph
@@ -41,12 +43,6 @@ from repro.store.format import read_header, read_index
 SAMPLES = 12
 SEED = 20160626
 FAST_RETRY = SupervisorConfig(backoff_base=0.01, backoff_max=0.05)
-
-
-def check(label: str, ok: bool) -> None:
-    print(f"  [{'ok' if ok else 'FAIL'}] {label}")
-    if not ok:
-        sys.exit(1)
 
 
 def main() -> int:

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from gatelib import check
+
 from repro.cascades.index import CascadeIndex
 from repro.graph.generators import powerlaw_outdegree_digraph
 from repro.problearn.assign import assign_fixed
@@ -32,12 +34,6 @@ from repro.store.fingerprint import digest_of_index
 SAMPLES = 12
 APPEND = 6
 SEED = 20160626
-
-
-def check(label: str, ok: bool) -> None:
-    print(f"  [{'ok' if ok else 'FAIL'}] {label}")
-    if not ok:
-        sys.exit(1)
 
 
 def main() -> int:

@@ -24,14 +24,11 @@ Run from the repository root::
 from __future__ import annotations
 
 import json
-import os
-import signal
-import subprocess
 import sys
 import tempfile
-import urllib.error
-import urllib.request
 from pathlib import Path
+
+from gatelib import check, drain, fetch, metric_value, repro, start_server
 
 from repro.cascades.index import CascadeIndex
 from repro.core.typical_cascade import TypicalCascadeComputer
@@ -41,61 +38,6 @@ from repro.problearn.assign import assign_fixed
 SAMPLES = 8
 SEED = 20160626
 WARM_NODES = tuple(range(12))
-
-
-def check(label: str, ok: bool) -> None:
-    print(f"  [{'ok' if ok else 'FAIL'}] {label}")
-    if not ok:
-        sys.exit(1)
-
-
-def fetch(base: str, path: str, *, method: str = "GET", body=None):
-    """(status, headers, body_bytes); HTTP error statuses are returned."""
-    data = json.dumps(body).encode("ascii") if body is not None else None
-    request = urllib.request.Request(base + path, data=data, method=method)
-    if data is not None:
-        request.add_header("Content-Type", "application/json")
-    try:
-        with urllib.request.urlopen(request, timeout=30) as response:
-            return response.status, dict(response.headers), response.read()
-    except urllib.error.HTTPError as exc:
-        return exc.code, dict(exc.headers), exc.read()
-
-
-def metric_value(metrics_text: str, sample: str) -> float:
-    for line in metrics_text.splitlines():
-        if line.startswith(sample + " "):
-            return float(line.split()[-1])
-    raise AssertionError(f"sample {sample!r} not found in /metrics")
-
-
-def subprocess_env() -> dict[str, str]:
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return env
-
-
-def start_server(index_path: Path, spheres_path: Path) -> tuple:
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve", str(index_path),
-            "--spheres", str(spheres_path),
-            "--port", "0", "--max-inflight", "0", "--retry-after", "2",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        env=subprocess_env(),
-        text=True,
-    )
-    banner = process.stdout.readline()
-    if "http://" not in banner:
-        process.kill()
-        raise AssertionError(f"no listening banner, got: {banner!r}")
-    base = banner.rsplit(" on ", 1)[1].strip()
-    return process, base, banner
 
 
 def main() -> int:
@@ -113,9 +55,13 @@ def main() -> int:
         print(f"store: {graph.num_nodes} nodes, {SAMPLES} worlds, "
               f"{len(WARM_NODES)} precomputed spheres")
 
-        process, base, banner = start_server(index_path, spheres_path)
+        server, base = start_server(
+            Path(tmp), "serve", "serve", str(index_path),
+            "--spheres", str(spheres_path),
+            "--max-inflight", "0", "--retry-after", "2",
+        )
         try:
-            print(f"server: {banner.strip()}")
+            print(f"server: {base}")
 
             print("endpoints:")
             status, _, body = fetch(base, "/healthz")
@@ -190,37 +136,20 @@ def main() -> int:
             print("CLI/server JSON parity:")
             node = WARM_NODES[1]
             _, _, http_body = fetch(base, f"/sphere/{node}")
-            cli = subprocess.run(
-                [
-                    sys.executable, "-m", "repro", "index", "query",
-                    str(index_path), "--node", str(node), "--sphere", "--json",
-                ],
-                capture_output=True,
-                env=subprocess_env(),
+            cli = repro(
+                "index", "query", str(index_path), "--node", str(node),
+                "--sphere", "--json",
             )
             check("CLI query --json exits 0", cli.returncode == 0)
             check(
                 "CLI and server JSON byte-identical",
-                cli.stdout.rstrip(b"\n") == http_body,
+                cli.stdout.rstrip("\n").encode() == http_body,
             )
 
             print("graceful shutdown:")
-            process.send_signal(signal.SIGTERM)
-            try:
-                code = process.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                check("SIGTERM shuts down within 30s", False)
-            check("exit code 0 after SIGTERM", code == 0)
-            remaining = process.stdout.read()
-            check(
-                "drain message printed",
-                "shut down cleanly" in remaining,
-            )
+            drain(server, banner="drain message printed")
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+            server.stop()
 
     print("all serve checks passed")
     return 0

@@ -14,7 +14,8 @@ valid upper bounds.
   ``cost_aware`` job model, run offline by
   :func:`budgeted_greedy_max_cover`.
 * :func:`weighted_greedy_max_cover` — elements carry values (the "different
-  market segments have different values" scenario of Section 8).
+  market segments have different values" scenario of Section 8), run
+  on :class:`StepwiseMaxCover` with ``element_values``.
 
 The stepwise engines (these two and
 :class:`~repro.influence.celfpp.StepwiseCelfpp`) share one three-call
@@ -98,9 +99,21 @@ def ordered_keys(family: Mapping[Hashable, np.ndarray]) -> list:
     return sorted(keys, key=repr)
 
 
+def _result(trace: CoverTrace, scale: float = 1.0, **extra: float) -> dict:
+    """The journal ``result`` fields of a cover trace."""
+    return {
+        "seeds": list(trace.selected),
+        "gains": list(trace.gains),
+        "coverage": list(trace.coverage),
+        "estimate": trace.coverage[-1] * scale if trace.coverage else 0.0,
+        **extra,
+    }
+
+
 class _CoverEngine:
     """State the cover engines share: the validated family in tie-break
-    order, the covered mask and the running :class:`CoverTrace`."""
+    order, the covered mask, the running :class:`CoverTrace` and the lazy
+    candidate heap."""
 
     def __init__(
         self,
@@ -113,10 +126,26 @@ class _CoverEngine:
         self._keys = ordered_keys(self._family)
         self._covered = np.zeros(universe_size, dtype=bool)
         self._trace = CoverTrace()
+        self._heap: list[tuple] | None = None
+        self._values: np.ndarray | None = None  # element values; None: all 1
 
     def _gain(self, key: Hashable) -> float:
         members = np.unique(self._family[key])
-        return float(np.count_nonzero(~self._covered[members]))
+        fresh = members[~self._covered[members]]
+        return float(fresh.size if self._values is None else self._values[fresh].sum())
+
+    def _bound(self, key: Hashable) -> float:
+        """The whole set's value: the exact gain while nothing is covered,
+        and a valid upper bound on the current marginal gain otherwise."""
+        members = np.unique(self._family[key])
+        return float(members.size if self._values is None else self._values[members].sum())
+
+    def _entry(self, key: Hashable, gain: float, rank: int, stamp: int) -> tuple:
+        """The heap entry of ``key`` at marginal ``gain``; the least pops first."""
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    def _selectable(self, key: Hashable) -> bool:
+        return True
 
     def _commit(self, key: Hashable) -> float:
         gain = self._gain(key)
@@ -133,6 +162,39 @@ class _CoverEngine:
             raise RuntimeError("resume() must run before the first step()")
         for record in steps:
             self._commit(int(record["node"]))
+
+    def _pop_best(self) -> tuple | None:
+        """Pop the least heap entry whose score is exact, or ``None``.
+
+        The heap is built on the first call: with nothing committed it
+        holds exact scores stamped ``0``, after :meth:`resume` stale bounds
+        stamped ``-1``.  Scores only fall as coverage grows, so a stale
+        entry on top is re-scored until the top one is fresh; an entry
+        whose key is no longer selectable is dropped.
+        """
+        iteration = len(self._trace.selected)
+        if self._heap is None:
+            chosen = set(self._trace.selected)
+            stamp = -1 if chosen else 0
+            self._heap = [
+                self._entry(key, self._bound(key), rank, stamp)
+                for rank, key in enumerate(self._keys)
+                if key not in chosen and self._selectable(key)
+            ]
+            self._trace.evaluations += len(self._heap)
+            heapq.heapify(self._heap)
+        heap = self._heap
+        while heap:
+            rank, stamp = heap[0][-2:]
+            key = self._keys[rank]
+            if not self._selectable(key):
+                heapq.heappop(heap)
+            elif stamp == iteration:
+                return heapq.heappop(heap)
+            else:
+                self._trace.evaluations += 1
+                heapq.heapreplace(heap, self._entry(key, self._gain(key), rank, iteration))
+        return None
 
     def _run(self) -> CoverTrace:
         while self.step() is not None:
@@ -152,6 +214,8 @@ class StepwiseMaxCover(_CoverEngine):
     :func:`ordered_keys`, ``stamp`` the iteration the gain was computed
     at.  With nothing committed the heap holds exact gains stamped ``0``;
     after :meth:`resume` every cached gain is a stale bound stamped ``-1``.
+    With ``element_values``, element ``v`` is worth ``element_values[v]``
+    and a gain is the value newly covered, not the count.
     """
 
     def __init__(
@@ -161,8 +225,10 @@ class StepwiseMaxCover(_CoverEngine):
         universe_size: int,
         priorities: Mapping[Hashable, float] | None = None,
         estimate_scale: float = 1.0,
+        element_values: np.ndarray | None = None,
     ) -> None:
         super().__init__(family, k, universe_size)
+        self._values = element_values
         if priorities is None:
             self._tie = {key: 0.0 for key in self._keys}
         else:
@@ -170,50 +236,25 @@ class StepwiseMaxCover(_CoverEngine):
                 key: -float(priorities.get(key, 0.0)) for key in self._keys
             }
         self._scale = float(estimate_scale)
-        self._heap: list[tuple[float, float, int, int]] | None = None
 
-    def _ensure_heap(self) -> None:
-        if self._heap is not None:
-            return
-        chosen = set(self._trace.selected)
-        # Full set size: the exact gain while nothing is covered, and a
-        # valid upper bound on the current marginal gain otherwise.
-        stamp = -1 if chosen else 0
-        heap = [
-            (-float(np.unique(self._family[key]).size), self._tie[key], rank, stamp)
-            for rank, key in enumerate(self._keys)
-            if key not in chosen
-        ]
-        self._trace.evaluations += len(heap)
-        heapq.heapify(heap)
-        self._heap = heap
+    def _entry(self, key: Hashable, gain: float, rank: int, stamp: int) -> tuple:
+        return (-gain, self._tie[key], rank, stamp)
 
     def step(self) -> dict | None:
         """Commit one selection; its journal ``step`` fields, or ``None``."""
         iteration = len(self._trace.selected)
         if iteration >= min(self._k, len(self._keys)):
             return None
-        self._ensure_heap()
-        heap = self._heap
-        while heap:
-            _, tie, rank, stamp = heapq.heappop(heap)
-            key = self._keys[rank]
-            if stamp == iteration:
-                gain = self._commit(key)
-                return {"iteration": iteration, "node": key, "gain": gain}
-            self._trace.evaluations += 1
-            heapq.heappush(heap, (-self._gain(key), tie, rank, iteration))
-        return None
+        entry = self._pop_best()
+        if entry is None:
+            return None
+        key = self._keys[entry[-2]]
+        gain = self._commit(key)
+        return {"iteration": iteration, "node": key, "gain": gain}
 
     def finalize(self) -> dict:
         """The journal ``result`` fields of the selection so far."""
-        trace = self._trace
-        return {
-            "seeds": list(trace.selected),
-            "gains": list(trace.gains),
-            "coverage": list(trace.coverage),
-            "estimate": trace.coverage[-1] * self._scale if trace.coverage else 0.0,
-        }
+        return _result(self._trace, self._scale)
 
 
 class StepwiseBudgetedCover(_CoverEngine):
@@ -222,7 +263,9 @@ class StepwiseBudgetedCover(_CoverEngine):
     Each :meth:`step` commits the affordable candidate with the strictly
     best gain/cost ratio (ties keep the first key in :func:`ordered_keys`
     order), until ``k`` sets are selected or nothing affordable adds
-    coverage.  The constant-factor best-single-set comparison happens in
+    coverage.  Heap entries are ``(-gain/cost, rank, stamp)``; spend only
+    grows, so a key priced out once is dropped for good.  The
+    constant-factor best-single-set comparison happens in
     :meth:`finalize` — a pure function of ``(family, budget)``, so a
     resumed job applies it identically.  Sets missing from ``costs`` cost
     ``1.0``; sets dearer than ``max_cost`` are never selected.
@@ -254,32 +297,29 @@ class StepwiseBudgetedCover(_CoverEngine):
             return False
         return spent + cost <= self._budget
 
+    def _entry(self, key: Hashable, gain: float, rank: int, stamp: int) -> tuple:
+        return (-(gain / self._costs[key]), rank, stamp)
+
+    def _selectable(self, key: Hashable) -> bool:
+        return self._affordable(key, self._spent)
+
     def _commit(self, key: Hashable) -> float:
         self._spent += self._costs[key]
         return super()._commit(key)
 
     def step(self) -> dict | None:
         """Commit one selection; its journal ``step`` fields, or ``None``."""
-        trace = self._trace
-        iteration = len(trace.selected)
+        iteration = len(self._trace.selected)
         if iteration >= self._k:
             return None
-        chosen = set(trace.selected)
-        best_key = None
-        best_ratio = 0.0
-        for key in self._keys:
-            if key in chosen or not self._affordable(key, self._spent):
-                continue
-            trace.evaluations += 1
-            ratio = self._gain(key) / self._costs[key]
-            if ratio > best_ratio:
-                best_ratio, best_key = ratio, key
-        if best_key is None:
+        entry = self._pop_best()
+        if entry is None or entry[0] >= 0.0:  # nothing affordable adds coverage
             return None
-        gain = self._commit(best_key)
+        key = self._keys[entry[-2]]
+        gain = self._commit(key)
         return {
             "iteration": iteration,
-            "node": best_key,
+            "node": key,
             "gain": gain,
             "spent": self._spent,
         }
@@ -308,13 +348,7 @@ class StepwiseBudgetedCover(_CoverEngine):
     def finalize(self) -> dict:
         """The journal ``result`` fields, after the best-single check."""
         trace, spent = self._final()
-        return {
-            "seeds": list(trace.selected),
-            "gains": list(trace.gains),
-            "coverage": list(trace.coverage),
-            "spent": spent,
-            "estimate": trace.coverage[-1] if trace.coverage else 0.0,
-        }
+        return _result(trace, spent=spent)
 
 
 def greedy_max_cover(
@@ -344,49 +378,15 @@ def weighted_greedy_max_cover(
 ) -> CoverTrace:
     """Greedy max-cover where element ``v`` is worth ``element_values[v]``."""
     check_positive_int(k, "k")
-    family = _validate_family(sets, universe_size)
     values = np.asarray(element_values, dtype=np.float64)
+    engine = StepwiseMaxCover(sets, k, universe_size, element_values=values)
     if values.shape != (universe_size,):
         raise ValueError(
             f"element_values must have shape ({universe_size},), got {values.shape}"
         )
     if np.any(values < 0):
         raise ValueError("element_values must be non-negative")
-
-    covered = np.zeros(universe_size, dtype=bool)
-    trace = CoverTrace()
-    keys = ordered_keys(family)
-    key_rank = {key: i for i, key in enumerate(keys)}
-
-    def gain_of(key: Hashable) -> float:
-        members = np.unique(family[key])
-        return float(values[members[~covered[members]]].sum())
-
-    heap = []
-    for key in keys:
-        heap.append((-gain_of(key), key_rank[key], 0))
-        trace.evaluations += 1
-    heapq.heapify(heap)
-
-    iteration = 0
-    total = 0.0
-    while iteration < min(k, len(keys)) and heap:
-        neg_gain, rank, stamp = heapq.heappop(heap)
-        key = keys[rank]
-        if stamp == iteration:
-            members = np.unique(family[key])
-            fresh = members[~covered[members]]
-            covered[fresh] = True
-            gain = float(values[fresh].sum())
-            total += gain
-            trace.selected.append(key)
-            trace.gains.append(gain)
-            trace.coverage.append(total)
-            iteration += 1
-        else:
-            trace.evaluations += 1
-            heapq.heappush(heap, (-gain_of(key), rank, iteration))
-    return trace
+    return engine._run()
 
 
 def budgeted_greedy_max_cover(

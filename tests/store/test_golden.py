@@ -10,7 +10,7 @@ or the query path that changes a single byte of output fails here.
 The seed selections over the same index are pinned separately in
 ``golden/selections.json``: the ``run_to_completion`` result of every job
 model, the offline traces (evaluation counts included) of InfMax_TC,
-CELF++, RIS and the budgeted greedy, and the sha256 of every member array
+CELF++, RIS and the weighted and budgeted greedies, and the sha256 of every member array
 of the sphere family the cover models select from.  Store bytes and
 selections are kept apart so a change to the store layout that leaves
 every answer alone shows up in one file only.
@@ -27,12 +27,17 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from repro.cascades.index import CascadeIndex
 from repro.core.typical_cascade import TypicalCascadeComputer
 from repro.graph.generators import powerlaw_outdegree_digraph
 from repro.influence.celfpp import infmax_celfpp
 from repro.influence.greedy_tc import infmax_tc
-from repro.influence.maxcover import budgeted_greedy_max_cover
+from repro.influence.maxcover import (
+    budgeted_greedy_max_cover,
+    weighted_greedy_max_cover,
+)
 from repro.influence.ris import infmax_ris
 from repro.jobs.select import run_to_completion, sphere_family
 from repro.jobs.spec import JobSpec
@@ -139,6 +144,8 @@ def golden_selections() -> dict:
     # and node 73's sphere alone covers more.
     single_costs = {v: 2.5 for v in family}
     single_costs.update({73: 3.0, 77: 1.0})
+    # Five value tiers, so weighted gains are non-integer and can tie.
+    values = 1.0 + (np.arange(NUM_NODES) % 5) * 0.3
     return {
         "jobs": jobs,
         "sphere_family": [
@@ -156,6 +163,9 @@ def golden_selections() -> dict:
             "seeds": list(ris.seeds),
             "estimated_spreads": list(ris.estimated_spreads),
         },
+        "weighted_greedy": _cover(
+            weighted_greedy_max_cover(family, 8, NUM_NODES, values)
+        ),
         "budgeted_greedy": _cover(
             budgeted_greedy_max_cover(family, 5.0, NUM_NODES, greedy_costs)
         ),
@@ -185,6 +195,7 @@ def test_selections_match_golden():
         "infmax_tc",
         "infmax_celfpp",
         "infmax_ris",
+        "weighted_greedy",
         "budgeted_greedy",
         "budgeted_single",
     ):
