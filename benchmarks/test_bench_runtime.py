@@ -7,8 +7,9 @@ Pins the costs the robustness layer adds to the hot paths it wraps:
   re-execution, not a rebuild;
 * the disarmed fault-injection check, which sits on every chunk and append
   stage and must stay a near-free env lookup;
-* checkpointed sphere sweeps vs plain sweeps (journaled shard writes), and
-  the resume path that recovers every sphere from disk without recomputing.
+* the sphere-family sweep written into the index store in batches vs a
+  plain in-memory sweep, and the resume path that finds every sphere
+  already committed and computes nothing.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.graph.generators import powerlaw_outdegree_digraph
 from repro.problearn.assign import assign_fixed
 from repro.runtime.faults import FaultPlan, FaultSpec, fault_scope, maybe_fire
 from repro.runtime.supervisor import SupervisorConfig
+from repro.store import read_index, write_family
 from repro.store.build import FAULT_SITE_CHUNK, sampled_condensations
 
 FAST_RETRY = SupervisorConfig(backoff_base=0.01, backoff_max=0.05)
@@ -80,20 +82,23 @@ def test_bench_checkpointed_sphere_sweep(benchmark, computer, tmp_path_factory):
 
     def checkpointed():
         counter[0] += 1
-        ck = tmp_path_factory.mktemp("ck") / f"run-{counter[0]}"
-        return computer.compute_store(checkpoint_dir=ck, checkpoint_every=64)
+        out = tmp_path_factory.mktemp("family") / f"run-{counter[0]}"
+        computer.index.save(out)
+        write_family(out, checkpoint_every=64)
+        return read_index(out).sphere_family
 
     store = benchmark.pedantic(checkpointed, rounds=3, iterations=1)
     assert len(store) == computer.index.num_nodes
 
 
 def test_bench_resume_from_full_checkpoint(benchmark, computer, tmp_path_factory):
-    ck = tmp_path_factory.mktemp("ck") / "full"
-    computer.compute_store(checkpoint_dir=ck, checkpoint_every=64)
+    out = tmp_path_factory.mktemp("family") / "full"
+    computer.index.save(out)
+    write_family(out, checkpoint_every=64)
 
-    store = benchmark.pedantic(
-        lambda: computer.compute_store(checkpoint_dir=ck, checkpoint_every=64),
-        rounds=3,
-        iterations=1,
-    )
+    def resume():
+        write_family(out, checkpoint_every=64, resume=True)
+        return read_index(out).sphere_family
+
+    store = benchmark.pedantic(resume, rounds=3, iterations=1)
     assert len(store) == computer.index.num_nodes

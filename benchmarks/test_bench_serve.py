@@ -16,11 +16,10 @@ import urllib.request
 import pytest
 
 from repro.cascades.index import CascadeIndex
-from repro.core.typical_cascade import TypicalCascadeComputer
 from repro.graph.generators import powerlaw_outdegree_digraph
 from repro.problearn.assign import assign_fixed
 from repro.serve.app import SphereService, make_server
-from repro.store import read_index, scrub_store
+from repro.store import read_index, scrub_store, write_family
 
 WARM_NODES = tuple(range(24))
 
@@ -37,15 +36,17 @@ def index(graph):
 
 
 @pytest.fixture(scope="module")
-def sphere_store(index):
-    return TypicalCascadeComputer(index).compute_store(nodes=WARM_NODES)
+def family_index(index, tmp_path_factory):
+    """``index`` re-opened from a store carrying the WARM_NODES family."""
+    path = tmp_path_factory.mktemp("family") / "idx"
+    index.save(path, format="store")
+    write_family(path, nodes=WARM_NODES)
+    return read_index(path)
 
 
 @pytest.fixture()
-def http_server(index, sphere_store):
-    service = SphereService(
-        index, spheres=sphere_store, cache_size=256, max_inflight=8
-    )
+def http_server(family_index):
+    service = SphereService(family_index, cache_size=256, max_inflight=8)
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

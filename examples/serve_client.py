@@ -63,8 +63,9 @@ def run_queries(base: str) -> None:
     status, missing = get(base, "/sphere/10000000")
     print(f"sphere/10000000 [{status}]: {missing['error']['message']}")
 
-    # /most-reliable needs a precomputed sphere store (serve --spheres);
-    # without one the server answers 400 and explains.
+    # /most-reliable needs a sphere family in the served store (written by
+    # 'repro sphere --all --index STORE'); without one the server answers
+    # 400 and explains.
     status, reliable = get(base, "/most-reliable?count=5")
     if status == 200:
         print(f"most-reliable [{status}]: {reliable['nodes']}")

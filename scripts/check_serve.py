@@ -2,12 +2,13 @@
 """CI gate for the online sphere-query service (.github/workflows/ci.yml).
 
 Runs the real ``python -m repro serve`` process end to end against a tiny
-persistent index + precomputed sphere store, and fails loudly on any
-deviation:
+persistent index carrying a precomputed sphere family, and fails loudly on
+any deviation:
 
 1. every endpoint answers (healthz, sphere, cascades, batch,
    most-reliable, metrics);
-2. warm-path proof: with ``--spheres`` loaded, sphere queries perform
+2. warm-path proof: with 12 spheres in the store's family, sphere queries
+   of those nodes perform
    **zero** ``TypicalCascadeComputer`` calls
    (``repro_serve_computes_total`` stays 0);
 3. a cold query is shed with ``429`` + ``Retry-After`` (the server runs
@@ -31,9 +32,9 @@ from pathlib import Path
 from gatelib import check, drain, fetch, metric_value, repro, start_server
 
 from repro.cascades.index import CascadeIndex
-from repro.core.typical_cascade import TypicalCascadeComputer
 from repro.graph.generators import powerlaw_outdegree_digraph
 from repro.problearn.assign import assign_fixed
+from repro.store.family import write_family
 
 SAMPLES = 8
 SEED = 20160626
@@ -45,19 +46,16 @@ def main() -> int:
         powerlaw_outdegree_digraph(80, mean_degree=5.0, seed=7), 0.15
     )
     index = CascadeIndex.build(graph, SAMPLES, seed=SEED)
-    computer = TypicalCascadeComputer(index)
 
     with tempfile.TemporaryDirectory() as tmp:
         index_path = Path(tmp) / "idx"
-        spheres_path = Path(tmp) / "spheres.npz"
         index.save(index_path, format="store")
-        computer.compute_store(nodes=WARM_NODES).save(spheres_path)
+        write_family(index_path, nodes=WARM_NODES)
         print(f"store: {graph.num_nodes} nodes, {SAMPLES} worlds, "
               f"{len(WARM_NODES)} precomputed spheres")
 
         server, base = start_server(
             Path(tmp), "serve", "serve", str(index_path),
-            "--spheres", str(spheres_path),
             "--max-inflight", "0", "--retry-after", "2",
         )
         try:

@@ -60,6 +60,7 @@ class CascadeIndex:
         self._sampler = sampler
         self._store_header = None
         self._store_integrity = None
+        self._sphere_family = None
         if members is None:
             self._conds = list(condensations)
             self._members: Sequence[Sequence[np.ndarray]] = [
@@ -133,6 +134,7 @@ class CascadeIndex:
                 "CascadeIndex.build to get an extendable index"
             )
         start = self.num_worlds
+        self._sphere_family = None  # computed from the old worlds only
         for i in range(start, start + additional_samples):
             cond = condense(self._graph, self._sampler.world_mask(i))
             if self._reduced:
@@ -185,6 +187,13 @@ class CascadeIndex:
         this index was opened with ``verify="lazy"``, else ``None``.  Its
         quarantine set is what the serving layer reports in ``/healthz``."""
         return self._store_integrity
+
+    @property
+    def sphere_family(self):
+        """The :class:`~repro.core.store.SphereStore` view of the sphere
+        family the store this index was opened from carries (see
+        :mod:`repro.store.family`), else ``None``."""
+        return self._sphere_family
 
     def condensation(self, world: int) -> Condensation:
         """The stored SCC condensation of world ``world``."""

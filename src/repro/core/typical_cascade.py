@@ -127,62 +127,19 @@ class TypicalCascadeComputer:
             else IndexProvenance.from_index(self._index)
         )
 
-    def compute_store(
-        self,
-        nodes: Iterable[int] | None = None,
-        *,
-        checkpoint_dir: Union[str, os.PathLike, None] = None,
-        checkpoint_every: int = 64,
-    ):
+    def compute_store(self, nodes: Iterable[int] | None = None):
         """:meth:`compute_all` packaged as a provenance-carrying
         :class:`~repro.core.store.SphereStore`.
 
         The store records which index produced it (content digest, graph
         fingerprint, seed entropy, world count) — for an index opened from
         a persistent store the identity comes straight from its header;
-        otherwise the live index is hashed.
-
-        With ``checkpoint_dir`` set, the sweep is crash-safe: every
-        ``checkpoint_every`` spheres are journaled durably
-        (:class:`~repro.runtime.checkpoint.SphereCheckpoint`), and a rerun
-        against the same directory recomputes only what is missing.  Each
-        node's sphere is a pure function of the index, so a
-        killed-then-resumed sweep returns a store whose :meth:`~repro.core.
-        store.SphereStore.digest` equals an uninterrupted run's.  The
-        checkpoint must belong to this index (provenance digests are
-        compared) or :class:`~repro.runtime.errors.CheckpointError` is
-        raised.
+        otherwise the live index is hashed.  To persist a family, write it
+        into the index store with :func:`repro.store.family.write_family`.
         """
         from repro.core.store import SphereStore
 
-        provenance = self._provenance()
-        if checkpoint_dir is None:
-            return SphereStore(self.compute_all(nodes), provenance=provenance)
-
-        from repro.runtime.checkpoint import SphereCheckpoint
-
-        check_positive_int(checkpoint_every, "checkpoint_every")
-        checkpoint = SphereCheckpoint(checkpoint_dir, provenance)
-        recovered = checkpoint.load()
-        if nodes is None:
-            nodes = range(self._index.num_nodes)
-        node_list = [int(node) for node in nodes]
-        spheres: dict[int, SphereOfInfluence] = {}
-        batch: dict[int, SphereOfInfluence] = {}
-        for node in node_list:
-            hit = recovered.get(node)
-            if hit is not None:
-                spheres[node] = hit
-                continue
-            batch[node] = self.compute(node)
-            if len(batch) >= checkpoint_every:
-                checkpoint.write_shard(batch)
-                spheres.update(batch)
-                batch = {}
-        if batch:
-            checkpoint.write_shard(batch)
-            spheres.update(batch)
-        return SphereStore(spheres, provenance=provenance)
+        return SphereStore(self.compute_all(nodes), provenance=self._provenance())
 
 
 def compute_typical_cascade(

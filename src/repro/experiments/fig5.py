@@ -75,10 +75,11 @@ def run_fig5(
 
 
 def format_fig5(buckets: list[Fig5Bucket]) -> str:
-    """Render the size-bucket cost statistics as a plain-text table."""
+    """Render the size-bucket cost statistics as a plain-text table, then
+    one verdict line per setting on :func:`large_spheres_are_cheaper`."""
     from repro.utils.tables import format_table
 
-    return format_table(
+    table = format_table(
         ["Setting", "size in", "nodes", "mean cost", "max cost"],
         [
             (b.setting, f"[{b.size_lo}, {b.size_hi})", b.count, b.mean_cost, b.max_cost)
@@ -86,13 +87,24 @@ def format_fig5(buckets: list[Fig5Bucket]) -> str:
         ],
         title="Figure 5: expected cost vs typical cascade size",
     )
+    verdicts = []
+    for setting in dict.fromkeys(b.setting for b in buckets):
+        verdict = "holds" if large_spheres_are_cheaper(buckets, setting) else "fails"
+        if len(_past_smallest(buckets, setting)) < 2:
+            verdict += " (vacuously: fewer than 2 buckets past size 1)"
+        verdicts.append(f"{setting}: large spheres are cheaper — {verdict}")
+    return "\n".join([table, *verdicts])
+
+
+def _past_smallest(buckets: list[Fig5Bucket], setting: str) -> list[Fig5Bucket]:
+    return [b for b in buckets if b.setting == setting and b.size_lo > 1]
 
 
 def large_spheres_are_cheaper(buckets: list[Fig5Bucket], setting: str) -> bool:
     """The paper's qualitative claim for one setting: among buckets past the
     smallest one, the largest-size bucket has mean cost no greater than the
-    first such bucket."""
-    rows = [b for b in buckets if b.setting == setting and b.size_lo > 1]
+    first such bucket.  Vacuously true with fewer than two such buckets."""
+    rows = _past_smallest(buckets, setting)
     if len(rows) < 2:
         return True
     return rows[-1].mean_cost <= rows[0].mean_cost + 1e-9

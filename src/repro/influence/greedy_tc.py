@@ -39,7 +39,14 @@ def _seeded_family(
 
 
 def sphere_family(index: CascadeIndex) -> dict[int, np.ndarray]:
-    """Every node's typical-cascade sphere, seed included (Algorithm 3)."""
+    """Every node's typical-cascade sphere, seed included (Algorithm 3).
+
+    Read from the sphere family the index's store carries when it covers
+    every node; computed otherwise.
+    """
+    stored = index.sphere_family
+    if stored is not None and len(stored) == index.num_nodes:
+        return _seeded_family(stored.members_family())
     return _seeded_family(
         TypicalCascadeComputer(index, size_grid_ratio=1.15).compute_all()
     )

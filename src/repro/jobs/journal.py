@@ -2,7 +2,7 @@
 
 Each job owns a directory with a single ``journal.jsonl``: one JSON record
 per line, every line carrying its own content digest (the same checksum
-discipline as :mod:`repro.runtime.checkpoint`).  The journal is the job's
+discipline as the store header, :mod:`repro.store.header`).  The journal is the job's
 *only* source of truth — state is never held anywhere a SIGKILL can lose
 it.  The record sequence is the state machine:
 

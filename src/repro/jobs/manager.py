@@ -342,6 +342,10 @@ class JobManager:
         # manager restart; until a runner owns it again it is queued.
         if queued and payload["state"] in ("running", "failed-retryable"):
             payload["state"] = "queued"
+        # Once a runner owns it, it is running, even before the attempt
+        # record lands (a cancel in that window settles at the first step).
+        if live is not None and payload["state"] == "queued":
+            payload["state"] = "running"
         return payload
 
     def status(self, job_id: str) -> dict:

@@ -7,11 +7,9 @@ such runs actually meet, without ever changing their output:
 
 * :mod:`repro.runtime.supervisor` — chunk-granular worker supervision for
   the parallel build: retry, backoff, pool replacement, serial fallback.
-* :mod:`repro.runtime.checkpoint` — journaled, crash-safe checkpoints for
-  the sphere sweep; a resumed run is digest-identical to an uninterrupted
-  one.
 * :mod:`repro.runtime.build_resume` — batched, resumable index-store
-  builds committing through crash-safe appends.
+  builds committing through crash-safe appends (the sphere sweep resumes
+  the same way, see :mod:`repro.store.family`).
 * :mod:`repro.runtime.faults` — deterministic fault injection, so every
   recovery path above is exercised by tests instead of trusted.
 
@@ -19,14 +17,13 @@ All of it leans on one contract (see DESIGN.md): every unit of retried
 work is a pure function of its payload — worlds of ``(seed entropy, i)``,
 spheres of the index — so re-execution is always safe and bit-exact.
 
-``checkpoint`` and ``build_resume`` are re-exported lazily: they import
-the store/core layers, which themselves import :mod:`repro.runtime.faults`
-for their injection points.
+``build_resume`` is re-exported lazily: it imports the store layer, which
+itself imports :mod:`repro.runtime.faults` for its injection points.
 """
 
 from __future__ import annotations
 
-from repro.runtime.errors import CheckpointError, InjectedFault, SupervisorError
+from repro.runtime.errors import InjectedFault, SupervisorError
 from repro.runtime.faults import (
     CRASH_EXIT_CODE,
     FaultInjector,
@@ -46,7 +43,6 @@ from repro.runtime.supervisor import (
 
 #: Lazily-resolved exports living below the store/core layers.
 _LAZY_EXPORTS = {
-    "SphereCheckpoint": "repro.runtime.checkpoint",
     "resumable_index_build": "repro.runtime.build_resume",
 }
 
@@ -61,7 +57,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "CheckpointError",
     "InjectedFault",
     "SupervisorError",
     "CRASH_EXIT_CODE",
@@ -76,6 +71,5 @@ __all__ = [
     "SupervisorConfig",
     "backoff_delay",
     "supervise_chunks",
-    "SphereCheckpoint",
     "resumable_index_build",
 ]

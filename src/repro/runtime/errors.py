@@ -1,6 +1,6 @@
 """Exception types of the fault-tolerant runtime.
 
-Three failure families, three types:
+Two failure families, two types:
 
 * :class:`InjectedFault` — a failure the deterministic harness
   (:mod:`repro.runtime.faults`) fired on purpose.  Tests arm a plan,
@@ -9,15 +9,9 @@ Three failure families, three types:
 * :class:`SupervisorError` — the supervised pool exhausted every recovery
   lever (per-chunk retries, pool restarts, serial fallback) and still
   could not finish; the original cause is chained.
-* :class:`CheckpointError` — a checkpoint directory is unusable: its
-  journal references a different index, or a journaled shard fails
-  validation.  Subclasses :class:`~repro.store.errors.StoreError` so the
-  CLI's one-line error handling covers it for free.
 """
 
 from __future__ import annotations
-
-from repro.store.errors import StoreError
 
 
 class InjectedFault(RuntimeError):
@@ -26,7 +20,3 @@ class InjectedFault(RuntimeError):
 
 class SupervisorError(RuntimeError):
     """Supervised execution failed after every retry and fallback."""
-
-
-class CheckpointError(StoreError):
-    """A checkpoint directory cannot be trusted for resuming."""

@@ -1,7 +1,7 @@
 """Bounded, thread-safe LRU result cache for on-demand sphere computes.
 
-The serving hot path is the precomputed :class:`~repro.core.store.
-SphereStore`; this cache sits behind it and keeps the most recently
+The serving hot path is the sphere family the index store carries
+(:class:`~repro.core.store.SphereStore`); this cache sits behind it and keeps the most recently
 requested *cold* spheres so repeated queries for the same node pay the
 Jaccard-median cost once.  The implementation is an ``OrderedDict`` under
 one lock — computes dominate by orders of magnitude, so a finer-grained

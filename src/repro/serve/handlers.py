@@ -146,18 +146,15 @@ class SphereRequestHandler(JSONRequestHandler):
     def _handle_reload(self) -> int:
         payload = self._read_json_body(required=False)
         index_path = None
-        spheres_path = None
         if payload is not None:
             if not isinstance(payload, dict):
                 raise BadRequest(
                     'reload body must be a JSON object, e.g. {"index": "path"}'
                 )
             index_path = payload.get("index")
-            spheres_path = payload.get("spheres")
-            for name, value in (("index", index_path), ("spheres", spheres_path)):
-                if value is not None and not isinstance(value, str):
-                    raise BadRequest(f"'{name}' must be a path string")
-        self._send_json(200, self.service.reload(index_path, spheres_path))
+            if index_path is not None and not isinstance(index_path, str):
+                raise BadRequest("'index' must be a path string")
+        self._send_json(200, self.service.reload(index_path))
         return 200
 
     # -- jobs endpoints ------------------------------------------------------

@@ -15,7 +15,9 @@ size (``node 17 not in index (200 nodes)``); the service maps these to HTTP
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
+
+from repro.serve.errors import BadRequest, PayloadTooLarge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cascades.index import CascadeIndex
@@ -45,12 +47,34 @@ def require_world(world: int, num_worlds: int) -> int:
     return world
 
 
+def validate_batch(nodes: Iterable[Any], max_batch: int) -> list[int]:
+    """The request-scoped checks of ``POST /spheres``, shared by the
+    single-process service and the shard router: a non-empty list of at
+    most ``max_batch`` distinct integer node ids."""
+    nodes = list(nodes)
+    if not nodes:
+        raise BadRequest("batch needs a non-empty 'nodes' list")
+    if len(nodes) > max_batch:
+        raise PayloadTooLarge(
+            f"batch of {len(nodes)} nodes exceeds the limit of "
+            f"{max_batch}; split the request"
+        )
+    seen: set[int] = set()
+    for raw in nodes:
+        if isinstance(raw, bool) or not isinstance(raw, int):
+            raise BadRequest(f"node ids must be integers, got {raw!r}")
+        if raw in seen:
+            raise BadRequest(f"duplicate node {raw} in batch")
+        seen.add(raw)
+    return nodes
+
+
 def sphere_payload(node: int, sphere: "SphereOfInfluence") -> dict[str, Any]:
     """The JSON document of ``GET /sphere/{node}``.
 
-    Only fields the :class:`~repro.core.store.SphereStore` persists are
-    included, so a sphere served from a precomputed store and the same
-    sphere recomputed on demand (or by the CLI) encode identically.
+    Only fields the sphere family persists are included, so a sphere
+    served from a store's family and the same sphere recomputed on demand
+    (or by the CLI) encode identically.
     """
     return {
         "node": int(node),

@@ -52,7 +52,8 @@ from typing import Union
 
 from repro.store.errors import StoreFormatError, StoreIntegrityError
 from repro.store.fingerprint import digest_text
-from repro.store.format import ARRAY_DTYPES, HEADER_NAME, read_header
+from repro.store.format import HEADER_NAME, read_header
+from repro.store.header import IndexStoreHeader
 
 PathLike = Union[str, os.PathLike]
 
@@ -324,10 +325,12 @@ def _link_or_copy(src: Path, dst: Path) -> None:
         shutil.copy2(src, dst)
 
 
-def _stage_replica_dir(source: Path, staging: Path) -> None:
-    """Materialise one replica: full column set, linked not copied."""
+def _stage_replica_dir(
+    source: Path, staging: Path, header: IndexStoreHeader
+) -> None:
+    """Materialise one replica: every header column, linked not copied."""
     staging.mkdir(parents=True)
-    for name in ARRAY_DTYPES:
+    for name in header.arrays:
         _link_or_copy(source / f"{name}.npy", staging / f"{name}.npy")
     # The header is tiny; an independent copy keeps a hand-edited shard
     # header from silently changing its siblings through a shared inode.
@@ -380,7 +383,7 @@ def partition_store(
             staging = root / (name + ".staging")
             if staging.exists():
                 shutil.rmtree(staging)
-            _stage_replica_dir(source, staging)
+            _stage_replica_dir(source, staging, header)
             os.rename(staging, final)
             dirs.append(name)
         entries.append(

@@ -12,6 +12,10 @@ package is the storage layer that makes the reuse real:
   parallel build: bit-identical output for any worker count.
 * :func:`append_worlds` — grow a saved index in place (more samples =
   tighter approximation) instead of rebuilding.
+* :func:`write_family` — compute the sphere family into the store itself
+  as checksummed ``family_*`` columns pinned to the index content, read
+  back as :attr:`~repro.cascades.index.CascadeIndex.sphere_family` (see
+  :mod:`repro.store.family`).
 * :class:`IndexProvenance` — the audit link stamped into derived artefacts
   such as :class:`~repro.core.store.SphereStore`.
 * :class:`ColumnIntegrity` / :func:`scrub_store` — read-time first-touch
@@ -32,6 +36,7 @@ from repro.store.errors import (
     StoreFormatError,
     StoreIntegrityError,
 )
+from repro.store.family import write_family
 from repro.store.fingerprint import digest_of_index, graph_fingerprint, index_digest
 from repro.store.format import check_files, read_header, read_index, write_index
 from repro.store.header import FORMAT_VERSION, MAGIC, ArrayInfo, IndexStoreHeader
@@ -50,6 +55,7 @@ __all__ = [
     "ColumnIntegrity",
     "ScrubReport",
     "scrub_store",
+    "write_family",
     "digest_of_index",
     "graph_fingerprint",
     "index_digest",

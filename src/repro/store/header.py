@@ -6,6 +6,12 @@ entropy (what makes :func:`~repro.store.append.append_worlds` and the
 parallel build deterministic), the reduction flag, and a manifest of every
 array file with dtype, shape, byte size and SHA-256.
 
+A store may also carry the sphere family computed from its worlds (see
+:mod:`repro.store.family`): its columns sit in the same manifest, and
+``family_pin`` records the ``content_digest`` they were computed from.
+The field is omitted from the JSON when there is no family, so such a
+header is byte-identical to one written before families existed.
+
 The header carries its own checksum over the canonical JSON payload, so a
 corrupted or hand-edited header is detected before any array is trusted.
 """
@@ -62,10 +68,13 @@ class IndexStoreHeader:
     arrays: dict[str, ArrayInfo] = field(default_factory=dict)
     format_version: int = FORMAT_VERSION
     library_version: str = ""
+    family_pin: str | None = None
 
     def to_json(self) -> str:
         """Canonical JSON with a trailing self-checksum field."""
         payload = asdict(self)
+        if payload["family_pin"] is None:
+            del payload["family_pin"]
         payload["magic"] = MAGIC
         body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         payload["header_checksum"] = digest_text(body)
@@ -115,6 +124,7 @@ class IndexStoreHeader:
                 arrays=arrays,
                 format_version=int(version),
                 library_version=str(payload.get("library_version", "")),
+                family_pin=payload.get("family_pin"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreFormatError(f"header is missing required fields: {exc}") from exc

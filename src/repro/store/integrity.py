@@ -24,10 +24,9 @@ mechanisms close that gap:
     problem: an operator deciding whether to restore from backup wants
     the complete damage list.
 
-The ``.npz`` :class:`~repro.core.store.SphereStore` needs neither:
-it is decompressed eagerly at load and every member is CRC-protected by
-the zip container, so corruption already surfaces as a
-:class:`~repro.store.errors.StoreFormatError` at open.
+Both cover every column the header lists, so a store's sphere family
+(the ``family_*`` columns of :mod:`repro.store.family`) is checksummed,
+quarantined and scrubbed exactly like the index columns it sits beside.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ can carry an :class:`IndexProvenance`: the content digest, graph
 fingerprint, seed entropy and world count of the cascade index its spheres
 were computed from.  Because :func:`~repro.store.fingerprint.index_digest`
 is identical for an in-memory index and its on-disk store, the chain
-"sphere store -> index store -> graph" is auditable end to end: given a
-saved sphere store you can verify exactly which sampled worlds produced
-it.
+"spheres -> index store -> graph" is auditable end to end.  A family
+written into its index store carries the provenance of that store's
+header, and the header's ``family_pin`` ties the two together.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.store.errors import StoreFormatError
 from repro.store.fingerprint import digest_of_index, graph_fingerprint
 from repro.store.header import EntropyLike, IndexStoreHeader
 
@@ -67,19 +66,3 @@ class IndexProvenance:
             },
             sort_keys=True,
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "IndexProvenance":
-        try:
-            payload = json.loads(text)
-            entropy = payload["seed_entropy"]
-            if isinstance(entropy, list):
-                entropy = tuple(int(e) for e in entropy)
-            return cls(
-                content_digest=str(payload["content_digest"]),
-                graph_fingerprint=str(payload["graph_fingerprint"]),
-                seed_entropy=entropy,
-                num_worlds=int(payload["num_worlds"]),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise StoreFormatError(f"malformed provenance record: {exc}") from exc

@@ -27,6 +27,7 @@ from repro.experiments import (
     run_table2,
 )
 from repro.experiments.fig3 import GRID, mean_probability_by_method
+from repro.experiments.fig5 import Fig5Bucket, large_spheres_are_cheaper
 from repro.experiments.fig6 import run_fig6_single
 from repro.experiments.fig8 import run_fig8_single
 
@@ -93,6 +94,34 @@ class TestFig5:
             assert b.size_lo < b.size_hi
             assert 0.0 <= b.mean_cost <= b.max_cost <= 1.0
         assert "size in" in format_fig5(buckets)
+        assert "NetHEPT-W: large spheres are cheaper" in format_fig5(buckets)
+
+
+def _buckets(setting, *rows):
+    return [
+        Fig5Bucket(setting, lo, 2 * lo, 10, mean, mean) for lo, mean in rows
+    ]
+
+
+class TestLargeSpheresAreCheaper:
+    def test_holds_when_the_largest_bucket_is_cheapest(self):
+        buckets = _buckets("A", (1, 0.05), (2, 0.40), (4, 0.30), (8, 0.20))
+        assert large_spheres_are_cheaper(buckets, "A")
+        assert "A: large spheres are cheaper — holds" in format_fig5(buckets)
+
+    def test_fails_when_the_largest_bucket_costs_more(self):
+        # The Digg-S shape at scale 0.5: 0.182 -> 0.304 past size 1.
+        buckets = _buckets("A", (1, 0.05), (2, 0.182), (4, 0.304))
+        assert not large_spheres_are_cheaper(buckets, "A")
+        assert "A: large spheres are cheaper — fails" in format_fig5(buckets)
+
+    def test_fewer_than_two_buckets_is_vacuous(self):
+        buckets = _buckets("A", (1, 0.05), (256, 0.9)) + _buckets("B", (2, 0.1))
+        assert large_spheres_are_cheaper(buckets, "A")
+        assert large_spheres_are_cheaper(buckets, "B")
+        assert large_spheres_are_cheaper(buckets, "missing")
+        text = format_fig5(buckets)
+        assert text.count("vacuously") == 2
 
 
 class TestFig6:

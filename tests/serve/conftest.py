@@ -1,6 +1,7 @@
 """Shared fixtures for the serving tests: one small deterministic index,
-a partial precomputed sphere store (so hot *and* cold paths exist), and
-helpers to run a real HTTP server on an ephemeral port."""
+the same index opened from a store carrying a partial sphere family (so
+hot *and* cold paths exist), and helpers to run a real HTTP server on an
+ephemeral port."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from repro.core.typical_cascade import TypicalCascadeComputer
 from repro.graph.generators import powerlaw_outdegree_digraph
 from repro.problearn.assign import assign_fixed
 from repro.serve.app import SphereService, make_server
+from repro.store.family import write_family
 
 #: Nodes whose spheres are precomputed into the store (the warm set).
 WARM_NODES = tuple(range(12))
@@ -58,15 +60,28 @@ def computer(index):
 
 
 @pytest.fixture(scope="session")
-def sphere_store(computer):
-    return computer.compute_store(nodes=WARM_NODES)
+def family_store_path(index, tmp_path_factory):
+    """``index`` as a store carrying the sphere family of WARM_NODES."""
+    path = tmp_path_factory.mktemp("family") / "idx"
+    index.save(path, format="store")
+    write_family(path, nodes=WARM_NODES)
+    return path
+
+
+#: Store-opened indexes whose families ``make_service(spheres=...)`` serves.
+_FAMILY_INDEXES: list[CascadeIndex] = []
 
 
 @pytest.fixture(scope="session")
-def sphere_store_path(sphere_store, tmp_path_factory):
-    path = tmp_path_factory.mktemp("spheres") / "spheres.npz"
-    sphere_store.save(path)
-    return path
+def family_index(family_store_path):
+    index = CascadeIndex.load(family_store_path)
+    _FAMILY_INDEXES.append(index)
+    return index
+
+
+@pytest.fixture(scope="session")
+def sphere_store(family_index):
+    return family_index.sphere_family
 
 
 @pytest.fixture(scope="session")
@@ -76,7 +91,12 @@ def index_store_path(index, tmp_path_factory):
     return path
 
 
-def make_service(index, **kwargs) -> SphereService:
+def make_service(index, *, spheres=None, **kwargs) -> SphereService:
+    """A service over ``index``.  A service reads its sphere family from
+    the index it opened, so ``spheres`` — the ``sphere_store`` fixture —
+    swaps in the store-opened copy of ``index`` that carries it."""
+    if spheres is not None:
+        (index,) = [i for i in _FAMILY_INDEXES if i.sphere_family is spheres]
     kwargs.setdefault("cache_size", 64)
     kwargs.setdefault("max_inflight", 8)
     return SphereService(index, **kwargs)

@@ -70,7 +70,7 @@ class TestNotFound:
 
     def test_most_reliable_without_store(self, index):
         service = make_service(index, spheres=None)
-        with pytest.raises(BadRequest, match="--spheres"):
+        with pytest.raises(BadRequest, match="sphere --all --index"):
             service.most_reliable(3)
 
 
@@ -160,11 +160,10 @@ class TestHealthAndStoreLoading:
         assert health["num_worlds"] == 8
         assert health["precomputed_spheres"] == len(WARM_NODES)
 
-    def test_loads_from_paths(self, index_store_path, sphere_store_path):
-        service = make_service(
-            str(index_store_path), spheres=str(sphere_store_path)
-        )
-        assert service.source == str(index_store_path)
+    def test_loads_from_paths(self, family_store_path):
+        service = make_service(str(family_store_path))
+        assert service.source == str(family_store_path)
+        assert service.healthz()["precomputed_spheres"] == len(WARM_NODES)
         payload = service.sphere(WARM_NODES[0])
         assert payload["node"] == WARM_NODES[0]
         assert service.computes_total.value() == 0

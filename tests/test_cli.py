@@ -301,26 +301,29 @@ class TestResumableCommands:
             read_header(batched).content_digest == read_header(mono).content_digest
         )
 
-    def test_sphere_all_sweep_refuse_and_resume(self, built, tmp_path, capsys):
-        out = tmp_path / "spheres.npz"
-        sweep = ["sphere", "--index", str(built), "--all", "--out", str(out),
+    def test_sphere_all_sweep_refuse_and_resume(self, built, capsys):
+        sweep = ["sphere", "--index", str(built), "--all",
                  "--checkpoint-every", "8"]
         assert main(sweep) == 0
         first = capsys.readouterr().out
+        assert "into its sphere family" in first
         assert "digest: sha256:" in first
-        assert out.exists()
-        # a second sweep against the same checkpoint dir refuses without --resume
-        with pytest.raises(SystemExit, match="pass --resume"):
-            main(sweep)
-        # with --resume it recovers everything and lands on the same digest
+        assert main(["index", "info", str(built), "--verify", "full"]) == 0
+        capsys.readouterr()
+        # a second sweep over a store that holds a family refuses without
+        # --resume
+        assert main(sweep) == 2
+        assert "--resume" in capsys.readouterr().err
+        # with --resume it finds everything committed: the same digest
         assert main(sweep + ["--resume"]) == 0
         second = capsys.readouterr().out
         digest = [ln for ln in first.splitlines() if "digest:" in ln]
         assert digest and digest[0] in second
 
     def test_sphere_all_requires_out(self, built):
-        with pytest.raises(SystemExit, match="--out is required"):
-            main(["sphere", "--index", str(built), "--all"])
+        # The family is written into the store named by --index.
+        with pytest.raises(SystemExit, match="--index is required"):
+            main(["sphere", "--setting", "NetHEPT-W", "--all"])
 
 
 class TestReportCommand:

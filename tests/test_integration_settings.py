@@ -64,19 +64,20 @@ def test_full_pipeline(setting_name):
 
 
 def test_sphere_store_roundtrip_in_pipeline(tmp_path):
-    """Spheres survive persistence and still drive InfMax_TC identically."""
-    from repro.core.store import SphereStore
+    """Spheres survive persistence in the index store and still drive
+    InfMax_TC identically."""
     from repro.influence.greedy_tc import infmax_tc_from_spheres
+    from repro.store.family import write_family
 
     setting = load_setting("Epinions-W", scale=SCALE)
     graph = setting.graph
     index = CascadeIndex.build(graph, SAMPLES, seed=3)
     spheres = TypicalCascadeComputer(index).compute_all()
 
-    store = SphereStore(spheres)
-    path = tmp_path / "spheres.npz"
-    store.save(path)
-    loaded = SphereStore.load(path)
+    path = tmp_path / "idx"
+    index.save(path)
+    write_family(path)
+    loaded = CascadeIndex.load(path).sphere_family
 
     direct = infmax_tc_from_spheres(spheres, K, graph.num_nodes)
     replayed = infmax_tc_from_spheres(loaded.members_family(), K, graph.num_nodes)
