@@ -105,7 +105,7 @@ def resumable_index_build(
             else:
                 raise
         else:
-            check_files(root, header)
+            check_files(root, header, names=ARRAY_DTYPES)
             _check_resumable(header, graph, entropy, reduce, num_samples, root)
             done = header.num_worlds
             if done == num_samples:
