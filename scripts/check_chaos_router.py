@@ -23,6 +23,8 @@ refused* contract one level up the stack:
 4. **open-loop smoke** — perfbench's open-loop generator sends 80
    mixed reads (sphere, cascade stats, 8-node batch) at 40/s; at least
    78 answer, and no sphere answer differs from the reference bytes;
+   30 sphere requests on one keep-alive connection through the router
+   have a median under 15 ms;
 5. **graceful drain** — SIGTERM shuts the router and all workers down
    cleanly (exit code 0, drain banner printed).
 
@@ -44,8 +46,8 @@ from pathlib import Path
 
 from gatelib import (
     SMOKE_COUNT, Hammer, acceptable, check, drain, fetch, get_json,
-    metric_value, metrics_text, read_smoke, reference_bodies, repro,
-    start_server, subprocess_env, sweep, until,
+    keepalive_ms, metric_value, metrics_text, read_smoke, reference_bodies,
+    repro, start_server, subprocess_env, sweep, until,
 )
 
 from repro.cascades.index import CascadeIndex
@@ -206,6 +208,10 @@ def main() -> int:
                   "against the reference",
                   len(phase.ok()) >= SMOKE_COUNT - 2
                   and all(o.verdict != "wrong" for o in phase.outcomes))
+            median = keepalive_ms(base, "/sphere/0")
+            print(f"  keep-alive through the router: median {median:.2f} ms")
+            check("keep-alive: median of 30 requests on one connection under 15 ms",
+                  median < 15.0)
 
             print("phase 5: graceful drain")
             drain(fleet, banner="drain banner printed")

@@ -13,9 +13,12 @@ any deviation:
    (``repro_serve_computes_total`` stays 0);
 3. a cold query is shed with ``429`` + ``Retry-After`` (the server runs
    with ``--max-inflight 0``) and the shed counter moves;
-4. ``index query --json`` and ``GET /sphere/{node}`` return
+4. keep-alive: 30 warm sphere requests on one connection have a median
+   under 15 ms (a response written as two writes waits ~40 ms for the
+   client's delayed ACK);
+5. ``index query --json`` and ``GET /sphere/{node}`` return
    byte-identical JSON;
-5. SIGTERM shuts the server down cleanly (exit code 0).
+6. SIGTERM shuts the server down cleanly (exit code 0).
 
 Run from the repository root::
 
@@ -29,7 +32,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from gatelib import check, drain, fetch, metric_value, repro, start_server
+from gatelib import (
+    check, drain, fetch, keepalive_ms, metric_value, repro, start_server,
+)
 
 from repro.cascades.index import CascadeIndex
 from repro.graph.generators import powerlaw_outdegree_digraph
@@ -129,6 +134,14 @@ def main() -> int:
                     text,
                     'repro_serve_requests_total{endpoint="sphere",status="200"}',
                 ) >= 4,
+            )
+
+            print("keep-alive:")
+            median = keepalive_ms(base, f"/sphere/{WARM_NODES[0]}")
+            print(f"  median {median:.2f} ms")
+            check(
+                "keep-alive: median of 30 requests on one connection under 15 ms",
+                median < 15.0,
             )
 
             print("CLI/server JSON parity:")

@@ -4,13 +4,16 @@ Servers run through perfbench's :class:`harness.ServerProcess` (its own
 process group, an ephemeral port, stderr in a log file), and the smoke
 phases drive them with perfbench's open-loop generator.  The rest is the
 gates' own vocabulary: a printed ``[ok]``/``[FAIL]`` check, ``fetch`` on a
-fresh connection per request, serially computed reference answers, a
-contract-checking hammer and one poll-until helper.
+fresh connection per request, ``keepalive_ms`` over one connection,
+serially computed reference answers, a contract-checking hammer and one
+poll-until helper.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import math
 import os
 import signal
 import subprocess
@@ -22,6 +25,7 @@ import urllib.request
 from collections import Counter
 from pathlib import Path
 from typing import Callable, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -55,6 +59,31 @@ def fetch(base: str, path: str, *, method: str = "GET", body=None):
             return response.status, dict(response.headers), response.read()
     except urllib.error.HTTPError as exc:
         return exc.code, dict(exc.headers), exc.read()
+
+
+def keepalive_ms(base: str, path: str, n: int = 30) -> float:
+    """Median latency in ms of ``n`` GETs of ``path`` sent one after another
+    over one keep-alive connection.
+
+    A fresh connection per request, as :func:`fetch` opens, cannot show a
+    stall that only a reused connection meets (a delayed ACK).  ``inf``
+    if an answer is not ``200`` or the server ends the connection.
+    """
+    url = urlsplit(base)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+    latencies = []
+    try:
+        for _ in range(n):
+            start = time.perf_counter()
+            conn.request("GET", path)
+            response = conn.getresponse()
+            response.read()
+            latencies.append((time.perf_counter() - start) * 1000.0)
+            if response.status != 200 or response.will_close:
+                return math.inf
+    finally:
+        conn.close()
+    return float(np.median(latencies))
 
 
 def get_json(base: str, path: str) -> dict:

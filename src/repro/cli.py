@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cold computes in flight before requests are shed "
                         "with 429 (default 8)")
     p.add_argument("--retry-after", type=float, default=1.0,
-                   help="Retry-After hint (seconds) on shed requests")
+                   help="Retry-After hint (seconds) on shed requests, sent "
+                        "rounded up to whole seconds")
     p.add_argument("--deadline", type=float, default=0.0,
                    help="per-request deadline in seconds; over-deadline "
                         "requests get 504 (0 = unlimited, the default)")
@@ -292,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-request deadline in seconds, applied by the "
                         "router and passed to every worker (0 = unlimited)")
     p.add_argument("--retry-after", type=float, default=1.0,
-                   help="Retry-After hint (seconds) on down-shard refusals")
+                   help="Retry-After hint (seconds) on down-shard refusals, "
+                        "sent rounded up to whole seconds")
     p.add_argument("--max-batch", type=int, default=256,
                    help="max nodes per POST /spheres batch (default 256)")
     p.add_argument("--breaker-threshold", type=int, default=3,

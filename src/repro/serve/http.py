@@ -18,16 +18,16 @@ beneath those lives here, once:
 * :func:`run_until_signal` — the SIGTERM/SIGINT drain and SIGHUP reload
   loop of both CLIs.
 
-Each response leaves as two writes, headers then body.  On a keep-alive
-connection that pair meets Nagle's algorithm on the server and delayed ACK
-on the client, so the body waits ~40 ms for the ACK of the headers; a
-fresh connection is still in quick-ACK mode and does not stall.  This is
-the current, measured behaviour.
+Each response leaves as one write: status line, headers and body in one
+buffer, sent with one ``sendall``.  Written as two (headers, then body), a
+keep-alive response met Nagle's algorithm on the server and delayed ACK on
+the client, and the body waited ~40 ms for the ACK of the headers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import signal
 import socket
 import threading
@@ -88,20 +88,37 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
 
     # -- responses -----------------------------------------------------------
 
+    # http.server's buffer of the status line and headers, which
+    # ``send_response`` and ``send_header`` fill (absent in HTTP/0.9 mode).
+    _headers_buffer: list[bytes]
+
     def _send(
         self,
         status: int,
         body: bytes,
         content_type: str = "application/json",
         extra_headers: tuple[tuple[str, str], ...] = (),
+        reason: str | None = None,
     ) -> None:
-        self.send_response(status)
+        """Write one response to the socket with a single ``sendall``.
+
+        The blank line and the body join the header buffer, so
+        ``flush_headers`` sends the whole response at once.  A ``HEAD``
+        response carries the headers of its body but not the body; an
+        HTTP/0.9 one has no status line or headers, only the body.
+        """
+        self.send_response(status, reason)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in extra_headers:
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":
+            self._headers_buffer = []
+        else:
+            self._headers_buffer.append(b"\r\n")
+        if self.command != "HEAD":
+            self._headers_buffer.append(body)
+        self.flush_headers()
 
     def _send_json(
         self,
@@ -114,7 +131,9 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
     def _send_error_payload(self, exc: ServeError) -> None:
         extra: tuple[tuple[str, str], ...] = ()
         if isinstance(exc, RetryableError):
-            extra = (("Retry-After", format(exc.retry_after, "g")),)
+            # RFC 9110 allows only whole seconds; rounding up never
+            # invites a retry earlier than asked.
+            extra = (("Retry-After", str(math.ceil(exc.retry_after))),)
         self._send_json(
             exc.status,
             {"error": {"status": exc.status, "message": exc.message}},
@@ -133,16 +152,12 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
             message = short
         self.close_connection = True
         try:
-            body = canonical_json(
-                {"error": {"status": code, "message": str(message)}}
+            self._send(
+                code,
+                canonical_json({"error": {"status": code, "message": str(message)}}),
+                extra_headers=(("Connection", "close"),),
+                reason=str(message),
             )
-            self.send_response(code, str(message))
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            if self.command != "HEAD":
-                self.wfile.write(body)
         except OSError:
             pass  # client already gone
 

@@ -111,7 +111,7 @@ class TestShedding:
         # ...while the cold one is shed with the back-off hint.
         status, headers, body = server.request("/sphere/50")
         assert status == 429
-        assert headers["Retry-After"] == "1.5"
+        assert headers["Retry-After"] == "2"
         payload = json.loads(body)
         assert payload["error"]["status"] == 429
         assert server.service.shed_total.value() == 1

@@ -96,7 +96,7 @@ class TestRefusalPropagation:
         )
         direct, routed = self._direct_and_routed(fleet, 21)
         self._assert_verbatim(direct, routed, 429)
-        assert routed[1]["Retry-After"] == "7.5"
+        assert routed[1]["Retry-After"] == "8"
 
     def test_503_breaker_open_verbatim(self, running_fleet):
         # A frozen worker clock makes the breaker's Retry-After hint a
